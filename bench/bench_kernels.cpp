@@ -1,27 +1,19 @@
-// Hot-path microbench: the SIMD map kernels (RAMR_SIMD) and the radix-
-// sharded atomic global container (RAMR_ATOMIC_SHARDS), measured as real
-// wall-clock on THIS host.
+// Hot-path microbench: the SIMD map kernels, measured as real wall-clock on
+// the host it runs on.
 //
-// Section 1 times each map-side kernel primitive through the scalar table
-// and through the widest table the CPU supports (what RAMR_SIMD=native
-// dispatches to) over suite-shaped inputs, and reports the speedup. Section
-// 2 times concurrent histogram-shaped emission into the single
-// AtomicArrayContainer versus the sharded variant across thread counts —
-// the contention cliff the sharding exists to flatten.
+// Times each map-side kernel primitive through the scalar table and through
+// the table simd::active() dispatches to (the widest the CPU supports) over
+// suite-shaped inputs, and reports the speedup.
 //
 // Inputs scale with RAMR_BENCH_SCALE (default 4; larger = smaller inputs)
 // and each cell is the best of RAMR_BENCH_REPS timed repetitions (default
-// 5) to suppress scheduler noise. NOTE: the atomic section needs real cores
-// to show contention; on a single-core host the ratio mostly validates
-// functionality.
+// 5) to suppress scheduler noise.
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/histogram.hpp"
@@ -29,8 +21,6 @@
 #include "bench_util.hpp"
 #include "common/env.hpp"
 #include "common/timing.hpp"
-#include "containers/atomic_array_container.hpp"
-#include "containers/sharded_atomic_container.hpp"
 #include "simd/kernels.hpp"
 #include "stats/table.hpp"
 #include "topology/topology.hpp"
@@ -110,15 +100,14 @@ int main(int argc, char** argv) {
   const std::size_t reps =
       static_cast<std::size_t>(env::get_uint("RAMR_BENCH_REPS", 5));
 
-  const simd::Active scalar = simd::resolve(simd::Mode::kScalar);
-  const simd::Active native = simd::resolve(simd::Mode::kNative);
-  const simd::Kernels& ks = *scalar.kernels;
+  const simd::Active& native = simd::active();
+  const simd::Kernels& ks = simd::scalar_kernels();
   const simd::Kernels& kn = *native.kernels;
 
   bench::banner(
       "Map kernel throughput: scalar table vs native (" +
           std::string(native.path) + ") on this host",
-      "the RAMR_SIMD fast path; methodology of the native benches");
+      "the dispatched map-kernel path; methodology of the native benches");
   std::cout << "host: " << topo::host().summary()
             << "  probed isa: " << common::to_string(native.isa) << "\n\n";
 
@@ -186,70 +175,7 @@ int main(int argc, char** argv) {
                   native.path);
   }
   bench::print(table);
-  std::cout << "\n(speedup > 1: the native table is faster; RAMR_SIMD=native"
-               " enables it in the apps)\n";
-
-  bench::banner(
-      "AtomicGlobal emission: single container vs radix-sharded "
-      "(RAMR_ATOMIC_SHARDS)",
-      "the MRPhi global-container contention cliff, Sec. II");
-
-  // Histogram-shaped key stream: 768 keys, skewed like real pixel data.
-  const std::size_t emits_per_thread =
-      static_cast<std::size_t>(4 * 1024 * 1024 / scale);
-  const std::vector<std::uint8_t> stream =
-      apps::make_pixels(emits_per_thread, 23);
-  std::vector<std::uint16_t> keys(stream.size());
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    keys[i] = static_cast<std::uint16_t>((i % 3) * 256 + stream[i]);
-  }
-
-  stats::Series single_s{"single (Mops/s)", {}, {}};
-  stats::Series sharded_s{"sharded (Mops/s)", {}, {}};
-  stats::Table atable({"threads", "shards", "single (ms)", "sharded (ms)",
-                       "sharded speedup"});
-  const std::size_t atomic_reps = std::min<std::size_t>(reps, 3);
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const auto drive = [&](auto&& emit_fn) {
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (std::size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-          for (const std::uint16_t k : keys) emit_fn(t, k);
-        });
-      }
-      for (auto& th : pool) th.join();
-    };
-    containers::AtomicArrayContainer<std::uint64_t> single(
-        apps::kHistogramBins);
-    const double ds = best_seconds(atomic_reps, [&] {
-      single.clear();
-      drive([&](std::size_t, std::uint16_t k) {
-        single.emit(k, 1);
-      });
-    });
-    containers::ShardedAtomicContainer<std::uint64_t> sharded(
-        apps::kHistogramBins, threads);
-    const double dh = best_seconds(atomic_reps, [&] {
-      sharded.clear();
-      drive([&](std::size_t t, std::uint16_t k) {
-        sharded.emit(t, k, 1);
-      });
-    });
-    sink(single.at(0) + sharded.at(0));
-    const double total_ops =
-        static_cast<double>(threads) * static_cast<double>(keys.size());
-    single_s.add(static_cast<double>(threads), total_ops / ds / 1e6);
-    sharded_s.add(static_cast<double>(threads), total_ops / dh / 1e6);
-    atable.add_row({std::to_string(threads), std::to_string(threads),
-                    stats::Table::fmt(ds * 1e3, 2),
-                    stats::Table::fmt(dh * 1e3, 2),
-                    stats::Table::fmt(ds / dh, 2)});
-  }
-  bench::print(atable);
-  std::cout << '\n';
-  bench::print_series("threads", {single_s, sharded_s});
-  std::cout << "\n(sharded speedup > 1: per-worker shards relieve the "
-               "fetch-add contention; needs real cores to show)\n";
+  std::cout << "\n(speedup > 1: the dispatched table is faster than the "
+               "scalar reference)\n";
   return 0;
 }

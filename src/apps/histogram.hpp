@@ -8,6 +8,8 @@
 // HG is one of the paper's two "light workload" apps: one trivial emission
 // per input byte, so the SPSC-queue cost dominates under RAMR (Figs. 8/9
 // show a ~3x slowdown) — it is the negative control of the evaluation.
+// The simulator keeps that per-byte profile (perf/profiles.cpp); this
+// native map combines in-map and emits at most one record per bin.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +27,20 @@
 namespace ramr::apps {
 
 inline constexpr std::size_t kHistogramBins = 3 * 256;
+
+// Bins n bytes locally, then emits one aggregated count per non-empty bin.
+// `channel0` is the channel of data[0] (its absolute offset mod 3).
+// CountCombiner sums counts, so the output equals a per-byte emission while
+// the traffic is at most kHistogramBins records per call.
+template <typename Emit>
+void emit_histogram(const std::uint8_t* data, std::size_t n,
+                    std::size_t channel0, Emit&& emit) {
+  std::uint64_t bins[kHistogramBins] = {};
+  simd::active().kernels->histogram_channels(data, n, channel0, bins);
+  for (std::size_t b = 0; b < kHistogramBins; ++b) {
+    if (bins[b] != 0) emit(static_cast<std::uint64_t>(b), bins[b]);
+  }
+}
 
 struct PixelInput {
   std::vector<std::uint8_t> bytes;  // interleaved R,G,B
@@ -57,26 +73,7 @@ struct HistogramApp {
     const std::size_t begin = split * in.split_bytes;
     const std::size_t end =
         std::min(begin + in.split_bytes, in.bytes.size());
-    const simd::Active& sk = simd::active();
-    if (sk.mode == simd::Mode::kOff) {
-      // Historical per-byte emission (RAMR_SIMD unset/off).
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint64_t channel = i % 3;
-        emit(channel * 256 + in.bytes[i], std::uint64_t{1});
-      }
-      return;
-    }
-    // Kernel path: bin the whole split locally (gather-free, per-lane
-    // partials under native), then emit one aggregated count per non-empty
-    // bin — CountCombiner sums counts, so the output is identical to the
-    // per-byte emission while the emit traffic drops from one record per
-    // byte to at most 768 per split.
-    std::uint64_t bins[kHistogramBins] = {};
-    sk.kernels->histogram_channels(in.bytes.data() + begin, end - begin,
-                                   begin % 3, bins);
-    for (std::size_t b = 0; b < kHistogramBins; ++b) {
-      if (bins[b] != 0) emit(static_cast<std::uint64_t>(b), bins[b]);
-    }
+    emit_histogram(in.bytes.data() + begin, end - begin, begin % 3, emit);
   }
 };
 

@@ -8,6 +8,8 @@
 // LR is the paper's second "light workload" app (five trivial emissions per
 // 4-byte point): like HG it loses under RAMR with default containers
 // (~3.8x on Haswell) — the queue cost dominates its tiny per-element work.
+// The simulator keeps that profile; this native map emits five records per
+// split.
 #pragma once
 
 #include <cstddef>
@@ -64,27 +66,12 @@ struct LinearRegressionApp {
     const std::size_t begin = split * in.split_points;
     const std::size_t end =
         std::min(begin + in.split_points, in.points.size());
-    const simd::Active& sk = simd::active();
-    if (sk.mode == simd::Mode::kOff) {
-      // Historical five-emissions-per-point loop (RAMR_SIMD unset/off).
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::int64_t x = in.points[i].x;
-        const std::int64_t y = in.points[i].y;
-        emit(kLrSx, x);
-        emit(kLrSy, y);
-        emit(kLrSxx, x * x);
-        emit(kLrSyy, y * y);
-        emit(kLrSxy, x * y);
-      }
-      return;
-    }
-    // Kernel path: multi-accumulator moment reduction over the split's
-    // interleaved (x, y) pairs, then five emissions total. Integer sums
-    // are exact and SumCombiner adds them, so the output is identical to
-    // the per-point emission.
+    // Multi-accumulator moment reduction over the split's interleaved
+    // (x, y) pairs, then five emissions total. Integer sums are exact and
+    // SumCombiner adds them, so the output equals a per-point emission.
     static_assert(sizeof(LrPoint) == 2 * sizeof(std::int16_t));
     std::int64_t m[5] = {};
-    sk.kernels->lr_moments(
+    simd::active().kernels->lr_moments(
         reinterpret_cast<const std::int16_t*>(in.points.data() + begin),
         end - begin, m);
     if (end > begin) {

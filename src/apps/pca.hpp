@@ -70,24 +70,12 @@ struct PcaMeanApp {
   void map(const input_type& in, std::size_t split, Emit&& emit) const {
     const std::size_t c0 = split * in.split_cols;
     const std::size_t c1 = std::min(c0 + in.split_cols, in.matrix.cols);
-    const simd::Active& sk = simd::active();
-    if (sk.mode == simd::Mode::kOff) {
-      // Historical single-accumulator loop (RAMR_SIMD unset/off).
-      for (std::size_t r = 0; r < in.matrix.rows; ++r) {
-        double sum = 0.0;
-        for (std::size_t c = c0; c < c1; ++c) sum += in.matrix.at(r, c);
-        emit(static_cast<std::uint64_t>(r), sum);
-      }
-      return;
-    }
-    // Kernel path: four-partial-sum reduction over the row's contiguous
-    // column slice (the matrix is row-major). scalar and native agree
-    // bit-for-bit; the accumulation ORDER differs from the off loop, so
-    // partial sums may differ from it in the last ulps.
+    // Four-partial-sum reduction over the row's contiguous column slice
+    // (the matrix is row-major); every kernel table agrees bit-for-bit.
+    const simd::Kernels& k = *simd::active().kernels;
     for (std::size_t r = 0; r < in.matrix.rows; ++r) {
       const double* row = in.matrix.data.data() + r * in.matrix.cols;
-      emit(static_cast<std::uint64_t>(r),
-           sk.kernels->sum_f64(row + c0, c1 - c0));
+      emit(static_cast<std::uint64_t>(r), k.sum_f64(row + c0, c1 - c0));
     }
   }
 };
@@ -123,34 +111,18 @@ struct PcaCovApp {
   void map(const input_type& in, std::size_t split, Emit&& emit) const {
     const std::size_t c0 = split * in.split_cols;
     const std::size_t c1 = std::min(c0 + in.split_cols, in.matrix.cols);
-    const simd::Active& sk = simd::active();
-    if (sk.mode == simd::Mode::kOff) {
-      // Historical single-accumulator loop (RAMR_SIMD unset/off).
-      for (std::size_t i = 0; i < in.matrix.rows; ++i) {
-        const double mi = in.row_means[i];
-        for (std::size_t j = 0; j <= i; ++j) {
-          const double mj = in.row_means[j];
-          double sum = 0.0;
-          for (std::size_t c = c0; c < c1; ++c) {
-            sum += (in.matrix.at(i, c) - mi) * (in.matrix.at(j, c) - mj);
-          }
-          emit(pca_pack(i, j), sum);
-        }
-      }
-      return;
-    }
-    // Kernel path: centered-product reduction over the two rows' column
-    // slices with the deterministic four-partial-sum schedule (explicitly
-    // no FMA contraction — see simd/kernels.hpp).
+    // Centered-product reduction over the two rows' column slices with the
+    // deterministic four-partial-sum schedule (explicitly no FMA
+    // contraction — see simd/kernels.hpp).
+    const simd::Kernels& k = *simd::active().kernels;
     const double* base = in.matrix.data.data();
     for (std::size_t i = 0; i < in.matrix.rows; ++i) {
       const double* row_i = base + i * in.matrix.cols;
       const double mi = in.row_means[i];
       for (std::size_t j = 0; j <= i; ++j) {
         emit(pca_pack(i, j),
-             sk.kernels->dot_centered_f64(row_i + c0,
-                                          base + j * in.matrix.cols + c0, mi,
-                                          in.row_means[j], c1 - c0));
+             k.dot_centered_f64(row_i + c0, base + j * in.matrix.cols + c0,
+                                mi, in.row_means[j], c1 - c0));
       }
     }
   }

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/histogram.hpp"
 #include "common/config.hpp"
 #include "containers/combiners.hpp"
 #include "containers/fixed_array_container.hpp"
@@ -168,10 +169,10 @@ struct StreamStringMatchApp {
   }
 };
 
-// Histogram over a byte stream. The channel of a byte is its *absolute*
-// stream position mod 3 — SplitView::window_base keeps the rotation
-// correct across windows (binary streams cut anywhere: the source gets a
-// null RecordBreak).
+// Histogram over a byte stream, through the same emit_histogram as
+// HistogramApp. The channel of a byte is its *absolute* stream position
+// mod 3 — SplitView::window_base keeps the rotation correct across windows
+// (binary streams cut anywhere: the source gets a null RecordBreak).
 struct StreamHistogramApp {
   static constexpr const char* kName = "hg-stream";
 
@@ -185,18 +186,15 @@ struct StreamHistogramApp {
   }
 
   container_type make_container() const {
-    return container_type(3 * 256);
+    return container_type(kHistogramBins);
   }
 
   template <typename Emit>
   void map(const input_type& in, std::size_t split, Emit&& emit) const {
     const io::StreamInput::SplitView v = in.split_view(split);
-    for (std::size_t i = v.begin; i < v.end; ++i) {
-      const std::uint64_t channel = (v.window_base + i) % 3;
-      emit(channel * 256 +
-               static_cast<std::uint8_t>(v.window_data[i]),
-           std::uint64_t{1});
-    }
+    emit_histogram(
+        reinterpret_cast<const std::uint8_t*>(v.window_data) + v.begin,
+        v.end - v.begin, (v.window_base + v.begin) % 3, emit);
   }
 };
 

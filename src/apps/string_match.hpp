@@ -64,32 +64,7 @@ struct StringMatchApp {
     std::size_t begin = split * in.text.split_bytes;
     const std::size_t end =
         std::min(begin + in.text.split_bytes, text.size());
-    const simd::Active& sk = simd::active();
-    if (sk.mode == simd::Mode::kOff) {
-      // Historical inline loop (RAMR_SIMD unset/off).
-      if (begin != 0 && !is_word_separator(text[begin - 1])) {
-        while (begin < end && !is_word_separator(text[begin])) ++begin;
-      }
-      std::size_t pos = begin;
-      for (;;) {
-        while (pos < end && is_word_separator(text[pos])) ++pos;
-        if (pos >= end) break;
-        std::size_t word_end = pos;
-        while (word_end < text.size() && !is_word_separator(text[word_end])) {
-          ++word_end;
-        }
-        const std::string_view word = text.substr(pos, word_end - pos);
-        for (std::size_t p = 0; p < in.patterns.size(); ++p) {
-          if (word == in.patterns[p]) {
-            emit(static_cast<std::uint64_t>(p), std::uint64_t{1});
-            break;
-          }
-        }
-        pos = word_end;
-      }
-      return;
-    }
-    const simd::Kernels& k = *sk.kernels;
+    const simd::Kernels& k = *simd::active().kernels;
     const char* data = text.data();
     if (begin != 0 && !is_word_separator(text[begin - 1])) {
       begin = k.find_separator(data, begin, end);
@@ -121,8 +96,9 @@ struct StringMatchApp {
       }
       return;
     }
-    // General path: kernel-table tokenization + first-match compare, same
-    // semantics as the inline loop (including duplicate-pattern behaviour).
+    // General path: tokenize, then compare against each pattern; the first
+    // match wins (a duplicated pattern only ever counts under its first
+    // index, as in the serial reference).
     std::size_t pos = begin;
     for (;;) {
       pos = k.skip_separators(data, pos, end);

@@ -28,11 +28,8 @@
 namespace ramr::apps {
 
 // Word separator class shared by the tokenizing apps and their references:
-// ' ' plus \t \n \v \f \r. Historically only ' ' separated words, which
-// silently glued words across raw tabs/newlines in hand-constructed inputs
-// (file loads fold whitespace to ' ' before map time, so those never saw
-// the bug); the scalar and SIMD scanners share this one predicate so they
-// agree byte-for-byte.
+// ' ' plus \t \n \v \f \r. The scalar and SIMD scanners share this one
+// predicate so they agree byte-for-byte.
 using simd::is_word_separator;
 
 struct TextInput {
@@ -80,28 +77,8 @@ struct WordCountApp {
     const std::string_view text(in.text);
     std::size_t begin = split * in.split_bytes;
     const std::size_t end = std::min(begin + in.split_bytes, text.size());
-    const simd::Active& sk = simd::active();
-    if (sk.mode == simd::Mode::kOff) {
-      // Historical inline loop (RAMR_SIMD unset/off).
-      if (begin != 0 && !is_word_separator(text[begin - 1])) {
-        while (begin < end && !is_word_separator(text[begin])) ++begin;
-      }
-      std::size_t pos = begin;
-      for (;;) {
-        while (pos < end && is_word_separator(text[pos])) ++pos;
-        if (pos >= end) break;  // next word starts in the next split
-        std::size_t word_end = pos;
-        while (word_end < text.size() && !is_word_separator(text[word_end])) {
-          ++word_end;
-        }
-        emit(text.substr(pos, word_end - pos), std::uint64_t{1});
-        pos = word_end;
-      }
-      return;
-    }
-    // Kernel-table tokenization: the same scan expressed as separator-class
-    // primitives (vectorized under RAMR_SIMD=native).
-    const simd::Kernels& k = *sk.kernels;
+    // Tokenization through the separator-class kernels (simd/kernels.hpp).
+    const simd::Kernels& k = *simd::active().kernels;
     const char* data = text.data();
     if (begin != 0 && !is_word_separator(text[begin - 1])) {
       begin = k.find_separator(data, begin, end);

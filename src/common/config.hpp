@@ -110,15 +110,6 @@ inline constexpr const char* kEnvShedWatermark = "RAMR_SHED_WATERMARK";
 inline constexpr const char* kEnvObs = "RAMR_OBS";
 inline constexpr const char* kEnvMetricsPath = "RAMR_METRICS_PATH";
 inline constexpr const char* kEnvFlightEvents = "RAMR_FLIGHT_EVENTS";
-// Hot-path dispatch knobs. Like RAMR_HUGEPAGES, these are read at their
-// point of use, not stored here: RAMR_SIMD=off|scalar|native by
-// simd::active() (map-kernel table selection, src/simd/), and
-// RAMR_ATOMIC_SHARDS by engine::resolve_atomic_shards (AtomicGlobal shard
-// count, src/engine/strategy_atomic.hpp) — so both work identically under
-// the dual-pool and the single-pool (mrphi) PoolSet shapes, which build
-// their configs differently.
-inline constexpr const char* kEnvSimd = "RAMR_SIMD";
-inline constexpr const char* kEnvAtomicShards = "RAMR_ATOMIC_SHARDS";
 
 // Which plan-relevant knobs were set explicitly via the environment.
 // from_env() fills this so the adaptive controller can honour the

@@ -30,9 +30,6 @@ class AtomicArrayContainer {
  public:
   using key_type = std::size_t;
   using value_type = V;
-  // Exposed so the sharded variant (sharded_atomic_container.hpp) can be
-  // instantiated from an app's container_type alone.
-  static constexpr AtomicOp kOp = Op;
 
   explicit AtomicArrayContainer(std::size_t num_keys)
       : slots_(num_keys) {

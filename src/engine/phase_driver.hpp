@@ -432,15 +432,11 @@ class PhaseDriver {
       result.plan.source = options_.plan_source;
     }
 
-    // Dispatch provenance: which kernel table the map loops could call
-    // this run (RAMR_SIMD; shard count is stamped by AtomicGlobal itself).
-    // Off leaves the fields empty so default output stays byte-identical.
+    // Dispatch provenance: which kernel table the map loops called.
     {
       const simd::Active& sa = simd::active();
-      if (sa.mode != simd::Mode::kOff) {
-        result.dispatch.simd_path = sa.path;
-        result.dispatch.isa = common::to_string(sa.isa);
-      }
+      result.dispatch.simd_path = sa.path;
+      result.dispatch.isa = common::to_string(sa.isa);
     }
 
     // Memory high-water, stamped unconditionally (one syscall): the

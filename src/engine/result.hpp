@@ -115,24 +115,14 @@ struct PlanInfo {
   }
 };
 
-// Hot-path dispatch provenance of one run (RAMR_SIMD / RAMR_ATOMIC_SHARDS;
-// see src/simd/ and strategy_atomic.hpp). Default-configured runs leave
-// every field at its zero value — enabled() is false and summary() / the
-// run report print nothing, keeping default output byte-identical.
+// Hot-path dispatch provenance of one run: the map-kernel table the apps
+// called through (see src/simd/). Stamped on every run.
 struct DispatchStats {
-  std::string simd_path;  // "" (RAMR_SIMD off) | "scalar" | "sse2" | "avx2"
-  std::string isa;        // probed ISA tier, stamped alongside simd_path
-  std::size_t atomic_shards = 0;  // >1 only for sharded atomic-global runs
-
-  bool enabled() const { return !simd_path.empty() || atomic_shards > 1; }
+  std::string simd_path;  // "scalar" | "sse2" | "avx2"
+  std::string isa;        // probed ISA tier
 
   std::string summary() const {
-    std::string s = "dispatch:";
-    if (!simd_path.empty()) s += " simd=" + simd_path + " isa=" + isa;
-    if (atomic_shards > 1) {
-      s += " shards=" + std::to_string(atomic_shards);
-    }
-    return s;
+    return "dispatch: simd=" + simd_path + " isa=" + isa;
   }
 };
 
@@ -227,9 +217,7 @@ struct RunResult {
   // Straggler/skew profile; enabled only under RAMR_OBS=1.
   SkewStats skew;
 
-  // Hot-path dispatch provenance (SIMD kernel path, atomic-global shard
-  // count); enabled() only when RAMR_SIMD or RAMR_ATOMIC_SHARDS departed
-  // from the defaults.
+  // Hot-path dispatch provenance (SIMD kernel path).
   DispatchStats dispatch;
 
   std::string summary() const {
@@ -276,8 +264,7 @@ struct RunResult {
     if (mem.enabled()) s += " " + mem.summary();
     // Skew profile only under RAMR_OBS=1.
     if (skew.enabled) s += " " + skew.summary();
-    // Dispatch provenance only when a hot-path knob was set.
-    if (dispatch.enabled()) s += " " + dispatch.summary();
+    s += " " + dispatch.summary();
     return s;
   }
 };

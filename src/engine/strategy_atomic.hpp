@@ -10,16 +10,6 @@
 // Phoenix++ pays reduce-phase merging and RAMR pays queue traffic, this
 // strategy pays coherence contention on hot keys.
 //
-// RAMR_ATOMIC_SHARDS relieves exactly that contention: with 2^k > 1 shards
-// the single array is replaced by radix-sharded sub-arrays (one flat
-// allocation, shard bases cache-line aligned; see
-// containers/sharded_atomic_container.hpp) and each worker emits into the
-// shard picked by its worker index (worker & (shards-1)). The collect pass
-// merges the shards per key through the same two-pass parallel collect, so
-// the output is identical to the single-container baseline — only the
-// coherence traffic changes. Unset (or =1) keeps the historical single
-// container, byte-identical behaviour.
-//
 // Restricted, like the original, to apps whose combiner is an atomic
 // fetch-op over an a-priori key range (AtomicArrayContainer) — HG/LR-class
 // workloads; WC-class arbitrary keys do not fit this design.
@@ -35,10 +25,6 @@
 #include <string>
 
 #include "common/cancellation.hpp"
-#include "common/config.hpp"
-#include "common/env.hpp"
-#include "common/error.hpp"
-#include "containers/sharded_atomic_container.hpp"
 #include "engine/app_model.hpp"
 #include "engine/collect.hpp"
 #include "engine/emit_strategy.hpp"
@@ -46,35 +32,12 @@
 
 namespace ramr::engine {
 
-// Resolves RAMR_ATOMIC_SHARDS against the worker count. Unset or 1 = the
-// historical single container; 0 = auto (one shard per worker, capped at
-// 64); any other value is rounded UP to the next power of two (the emit
-// path radix-masks, it never divides). Values above 1024 are rejected with
-// a ConfigError naming the variable, matching every other RAMR_* knob.
-inline std::size_t resolve_atomic_shards(std::size_t num_workers) {
-  const std::uint64_t raw = env::get_uint(kEnvAtomicShards, 1);
-  if (raw > 1024) {
-    throw ConfigError(std::string(kEnvAtomicShards) + ": value " +
-                      std::to_string(raw) + " out of range [0, 1024]");
-  }
-  std::size_t want = static_cast<std::size_t>(raw);
-  if (want == 0) {  // auto: a shard per worker, bounded
-    want = num_workers < 64 ? num_workers : 64;
-    if (want == 0) want = 1;
-  }
-  std::size_t shards = 1;
-  while (shards < want) shards <<= 1;
-  return shards;
-}
-
 template <mr::GlobalAppSpec App>
 class AtomicGlobal {
  public:
   using Container = typename App::container_type;
   using key_type = typename Container::key_type;
   using value_type = typename Container::value_type;
-  using Sharded =
-      containers::ShardedAtomicContainer<value_type, Container::kOp>;
   static constexpr bool kHasReduce = false;  // the container is already global
   static constexpr const char* kName = "atomic-global";
 
@@ -82,50 +45,27 @@ class AtomicGlobal {
                    const typename App::input_type& input,
                    RunResult<key_type, value_type>& result) {
     // The whole map IS the combine: atomic fetch-ops on the shared array.
-    const std::size_t shards =
-        resolve_atomic_shards(ctx.pools.num_mappers());
     ctx.injector.on_container_alloc();
+    global_.emplace(app.make_global_container());
+    Container& global = *global_;
     std::atomic<std::size_t> tasks_executed{0};
-    if (shards <= 1) {
-      // Historical single-container path, untouched.
-      global_.emplace(app.make_global_container());
-      Container& global = *global_;
-      ctx.pools.mapper_pool().run_on_all([&](std::size_t worker) {
-        run_worker(ctx, app, input, worker, tasks_executed,
-                   [&](const key_type& k, const value_type& v) {
-                     ctx.injector.on_emit(worker);
-                     global.emit(k, v);
-                   });
-      });
-    } else {
-      sharded_.emplace(app.make_global_container().capacity(), shards);
-      Sharded& global = *sharded_;
-      const std::size_t mask = shards - 1;
-      ctx.pools.mapper_pool().run_on_all([&](std::size_t worker) {
-        const std::size_t shard = worker & mask;
-        run_worker(ctx, app, input, worker, tasks_executed,
-                   [&, shard](const key_type& k, const value_type& v) {
-                     ctx.injector.on_emit(worker);
-                     global.emit(shard, k, v);
-                   });
-      });
-      result.dispatch.atomic_shards = shards;
-    }
+    ctx.pools.mapper_pool().run_on_all([&](std::size_t worker) {
+      run_worker(ctx, app, input, worker, tasks_executed,
+                 [&](const key_type& k, const value_type& v) {
+                   ctx.injector.on_emit(worker);
+                   global.emit(k, v);
+                 });
+    });
     result.tasks_executed = tasks_executed.load();
   }
 
   void reduce(PoolSet&) {}  // never called: kHasReduce is false
 
-  // Copy-out fanned over the worker pool: ranged reads on the (possibly
-  // sharded) atomic array are safe here — the emitting phase quiesced at
-  // the map-combine pool join. The sharded view folds shards per key, so
-  // both paths produce identical pairs.
+  // Copy-out fanned over the worker pool: ranged reads on the atomic array
+  // are safe here — the emitting phase quiesced at the map-combine pool
+  // join.
   void collect(RunResult<key_type, value_type>& result, PoolSet& pools) {
-    if (sharded_.has_value()) {
-      result.pairs = collect_pairs(pools.mapper_pool(), *sharded_);
-    } else {
-      result.pairs = collect_pairs(pools.mapper_pool(), *global_);
-    }
+    result.pairs = collect_pairs(pools.mapper_pool(), *global_);
   }
 
  private:
@@ -150,7 +90,6 @@ class AtomicGlobal {
   }
 
   std::optional<Container> global_;
-  std::optional<Sharded> sharded_;
 };
 
 }  // namespace ramr::engine

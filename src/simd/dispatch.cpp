@@ -1,71 +1,34 @@
-// RAMR_SIMD parsing and the process-wide kernel-table decision.
+// The process-wide kernel-table decision.
 #include "simd/kernels.hpp"
-
-#include "common/config.hpp"
-#include "common/env.hpp"
-#include "common/error.hpp"
 
 namespace ramr::simd {
 
-Mode parse_simd_mode(const std::string& name) {
-  if (name == "off") return Mode::kOff;
-  if (name == "scalar") return Mode::kScalar;
-  if (name == "native") return Mode::kNative;
-  throw ConfigError(std::string(kEnvSimd) + ": unknown mode '" + name +
-                    "' (expected off|scalar|native)");
-}
+namespace {
 
-std::string to_string(Mode mode) {
-  switch (mode) {
-    case Mode::kScalar:
-      return "scalar";
-    case Mode::kNative:
-      return "native";
-    case Mode::kOff:
-    default:
-      return "off";
-  }
-}
-
-Active resolve(Mode mode) {
+Active resolve() {
   Active a;
-  a.mode = mode;
   a.isa = common::probe_isa();
-  if (mode == Mode::kOff) {
-    a.path = "off";
-    a.kernels = nullptr;
-    return a;
-  }
-  a.path = "scalar";
   a.kernels = &scalar_kernels();
-  if (mode == Mode::kNative) {
-    // Widest tier first; a tier is taken only when the cpuid probe allows
-    // it AND the build produced its table.
-    if (a.isa == common::IsaLevel::kAvx2) {
-      if (const Kernels* k = avx2_kernels()) {
-        a.kernels = k;
-        a.path = "avx2";
-        return a;
-      }
+  // Widest tier first; a tier is taken only when the cpuid probe allows it
+  // AND the build produced its table.
+  if (a.isa == common::IsaLevel::kAvx2) {
+    if (const Kernels* k = avx2_kernels()) {
+      a.kernels = k;
+      a.path = "avx2";
+      return a;
     }
-    if (a.isa == common::IsaLevel::kAvx2 || a.isa == common::IsaLevel::kSse2) {
-      if (const Kernels* k = sse2_kernels()) {
-        a.kernels = k;
-        a.path = "sse2";
-      }
+  }
+  if (a.isa == common::IsaLevel::kAvx2 || a.isa == common::IsaLevel::kSse2) {
+    if (const Kernels* k = sse2_kernels()) {
+      a.kernels = k;
+      a.path = "sse2";
     }
   }
   return a;
 }
 
-namespace {
-
-Active resolve_from_env() {
-  return resolve(parse_simd_mode(env::get_string(kEnvSimd, "off")));
-}
-
 Active& cached() {
-  static Active a = resolve_from_env();
+  static Active a = resolve();
   return a;
 }
 
@@ -73,6 +36,12 @@ Active& cached() {
 
 const Active& active() { return cached(); }
 
-void refresh_from_env() { cached() = resolve_from_env(); }
+ScopedKernels::ScopedKernels(const Kernels& kernels, const char* path)
+    : saved_(cached()) {
+  cached().kernels = &kernels;
+  cached().path = path;
+}
+
+ScopedKernels::~ScopedKernels() { cached() = saved_; }
 
 }  // namespace ramr::simd

@@ -1,35 +1,23 @@
-// Portable SIMD map kernels with runtime capability dispatch (RAMR_SIMD).
+// Portable SIMD map kernels with runtime capability dispatch.
 //
 // The map-side inner loops of the text/byte suite apps reduce to a handful
 // of primitives: separator scans over the whitespace class, first-byte
 // pattern probes, byte-bucket accumulation, and fixed-moment reductions.
 // This layer implements each primitive three times — portable scalar, SSE2
 // (128-bit, the x86-64 baseline) and AVX2 (256-bit, Haswell onward) — and
-// selects a table at runtime from the probed ISA (common/cpu.hpp) and the
-// RAMR_SIMD knob:
-//
-//   RAMR_SIMD unset / "off"  — apps run their historical inline loops;
-//                              zero code from this layer executes and
-//                              default output stays byte-identical.
-//   RAMR_SIMD=scalar         — apps call through the kernel table, pinned
-//                              to the portable scalar implementations
-//                              (forced-fallback testing; also the parity
-//                              baseline the vector tables must match).
-//   RAMR_SIMD=native         — widest table the CPU supports (avx2 → sse2
-//                              → scalar).
+// active() picks the widest table the probed ISA (common/cpu.hpp) allows:
+// avx2, then sse2, then scalar. The scalar table is the non-x86 path and
+// the reference the vector tables are tested against.
 //
 // Determinism contract: for every kernel and every input, all three tables
 // return bit-identical results. The integer kernels are order-independent
 // sums, and the f64 kernels fix one accumulation schedule — four
 // interleaved partial sums combined as (s0+s2)+(s1+s3) — that scalar, SSE2
-// and AVX2 all execute exactly, so `scalar` and `native` runs agree to the
-// last bit. (The `off` inline loops keep the historical single-accumulator
-// order instead; see the parity tests for the tolerance story.)
+// and AVX2 all execute exactly, so output does not depend on the host.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "common/cpu.hpp"
 
@@ -43,17 +31,6 @@ constexpr bool is_word_separator(char c) {
   const unsigned char u = static_cast<unsigned char>(c);
   return c == ' ' || (u >= 9 && u <= 13);
 }
-
-enum class Mode {
-  kOff,     // historical inline loops; this layer is dormant
-  kScalar,  // kernel table, portable scalar entries
-  kNative,  // kernel table, widest entries the CPU supports
-};
-
-// Parse the RAMR_SIMD value; throws ramr::ConfigError naming the variable
-// on anything but off|scalar|native.
-Mode parse_simd_mode(const std::string& name);
-std::string to_string(Mode mode);
 
 // One resolved implementation set. Every entry is non-null in every table.
 struct Kernels {
@@ -93,31 +70,35 @@ struct Kernels {
 
   // Same schedule over the centered products (a[i]-ma)*(b[i]-mb) — the PCA
   // covariance inner loop. No FMA contraction on any path (the vector code
-  // uses explicit mul+add), so scalar and native agree bit-for-bit.
+  // uses explicit mul+add), so every table agrees bit-for-bit.
   double (*dot_centered_f64)(const double* a, const double* b, double ma,
                              double mb, std::size_t n);
 };
 
 // The resolved dispatch decision for this process.
 struct Active {
-  Mode mode = Mode::kOff;
-  common::IsaLevel isa = common::IsaLevel::kScalar;  // probed, always set
-  const char* path = "off";  // "off" | "scalar" | "sse2" | "avx2"
-  const Kernels* kernels = nullptr;  // non-null whenever mode != kOff
+  common::IsaLevel isa = common::IsaLevel::kScalar;  // probed
+  const char* path = "scalar";       // "scalar" | "sse2" | "avx2"
+  const Kernels* kernels = nullptr;  // never null from active()
 };
 
-// Resolve a dispatch decision for an explicit mode (bench harness use).
-Active resolve(Mode mode);
-
-// The process-wide decision: parses RAMR_SIMD once (throwing ConfigError on
-// a bad value) and caches the resolved table. Apps call this on every map
-// task — it is one load after the first call.
+// The process-wide decision: the widest table the cpuid probe allows AND
+// the build produced. Resolved once; apps call this on every map task.
 const Active& active();
 
-// Re-reads RAMR_SIMD and swaps the cached decision. Test-only (pairs with
-// env::ScopedOverride); not thread-safe against concurrent active() calls,
-// exactly like ScopedOverride itself.
-void refresh_from_env();
+// Test-only: swaps the table active() returns for this guard's lifetime.
+// Not thread-safe against concurrent active() callers — install it before
+// any run starts.
+class ScopedKernels {
+ public:
+  ScopedKernels(const Kernels& kernels, const char* path);
+  ~ScopedKernels();
+  ScopedKernels(const ScopedKernels&) = delete;
+  ScopedKernels& operator=(const ScopedKernels&) = delete;
+
+ private:
+  Active saved_;
+};
 
 // The individual tables, for parity tests and the kernel bench. sse2/avx2
 // return nullptr when the build could not compile that tier.

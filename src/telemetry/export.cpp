@@ -254,21 +254,11 @@ void run_report_json(std::ostream& out, const RunReport& report) {
     }
     w.end_object();
   }
-  // Hot-path dispatch provenance (RAMR_SIMD / RAMR_ATOMIC_SHARDS); omitted
-  // for default-configured runs so their reports stay byte-identical.
-  if (report.result.dispatch.enabled()) {
-    const engine::DispatchStats& dispatch = report.result.dispatch;
-    w.begin_object("dispatch");
-    if (!dispatch.simd_path.empty()) {
-      w.field("simd_path", dispatch.simd_path);
-      w.field("isa", dispatch.isa);
-    }
-    if (dispatch.atomic_shards > 1) {
-      w.field("atomic_shards",
-              static_cast<std::uint64_t>(dispatch.atomic_shards));
-    }
-    w.end_object();
-  }
+  // Hot-path dispatch provenance (the map-kernel table).
+  w.begin_object("dispatch");
+  w.field("simd_path", report.result.dispatch.simd_path);
+  w.field("isa", report.result.dispatch.isa);
+  w.end_object();
   // Streaming-input outcome (RAMR_IO); omitted when the run was fed by a
   // materialized input so non-streaming reports gain only the "memory"
   // object above.

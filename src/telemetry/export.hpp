@@ -102,9 +102,7 @@ struct RunInfo {
   // "skew" object) unless RAMR_OBS was on.
   engine::SkewStats skew;
 
-  // Hot-path dispatch provenance; dispatch.enabled() is false (and the
-  // report emits no "dispatch" object) unless RAMR_SIMD or
-  // RAMR_ATOMIC_SHARDS departed from the defaults.
+  // Hot-path dispatch provenance (the map-kernel table).
   engine::DispatchStats dispatch;
 };
 

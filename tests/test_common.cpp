@@ -1,10 +1,19 @@
 // Unit tests for the common substrate: env knobs, runtime config,
-// cache-line padding, timing, RNG determinism, affinity wrapper.
+// cache-line padding, timing, RNG determinism, affinity wrapper, peak RSS.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 #include "common/affinity.hpp"
 #include "common/cacheline.hpp"
@@ -12,6 +21,7 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/rss.hpp"
 #include "common/timing.hpp"
 
 namespace ramr {
@@ -291,6 +301,60 @@ TEST(Affinity, PinToCpuZeroWorksOnLinux) {
   ASSERT_TRUE(cpu.has_value());
   EXPECT_EQ(*cpu, 0u);
 }
+
+// ---------- peak RSS --------------------------------------------------------
+
+#if defined(__linux__)
+// Child half of the test below: run only when the parent execs this binary
+// with --gtest_also_run_disabled_tests. Prints the fresh process's peak.
+TEST(PeakRss, DISABLED_ReportFromFreshProcess) {
+  std::printf("peak_rss_bytes=%zu\n", common::peak_rss_bytes());
+  std::fflush(stdout);
+}
+
+TEST(PeakRss, ForkExecChildDoesNotInheritParentPeak) {
+  // getrusage's ru_maxrss survives fork+exec on Linux, so a child reading
+  // it would report this parent's 96 MiB high-water as its own.
+  constexpr std::size_t kParentBytes = std::size_t{96} << 20;
+  std::vector<char> ballast(kParentBytes);
+  volatile char* touch = ballast.data();
+  for (std::size_t i = 0; i < ballast.size(); i += 4096) touch[i] = 1;
+  ASSERT_GE(common::peak_rss_bytes(), kParentBytes);
+
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    dup2(fds[1], STDOUT_FILENO);
+    close(fds[0]);
+    close(fds[1]);
+    char arg0[] = "test_common";
+    char arg1[] = "--gtest_also_run_disabled_tests";
+    char arg2[] = "--gtest_filter=PeakRss.DISABLED_ReportFromFreshProcess";
+    char* const argv[] = {arg0, arg1, arg2, nullptr};
+    execv("/proc/self/exe", argv);
+    _exit(127);
+  }
+  close(fds[1]);
+  std::string out;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = read(fds[0], buf, sizeof(buf))) > 0) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  const std::string tag = "peak_rss_bytes=";
+  const std::size_t at = out.find(tag);
+  ASSERT_NE(at, std::string::npos) << out;
+  const std::size_t child_peak = std::stoull(out.substr(at + tag.size()));
+  EXPECT_GT(child_peak, 0u);
+  EXPECT_LT(child_peak, kParentBytes / 2) << out;
+}
+#endif
 
 }  // namespace
 }  // namespace ramr

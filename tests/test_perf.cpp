@@ -340,7 +340,9 @@ TEST(Profiles, MmHashShrinksContainer) {
 }
 
 TEST(Profiles, EmissionTrafficMatchesApps) {
-  // HG emits one record per byte; LR five per 4-byte point.
+  // The paper's HG emits one record per byte; LR five per 4-byte point.
+  // (The native apps combine in-map; the simulator keeps the paper's
+  // light-case traffic.)
   EXPECT_DOUBLE_EQ(
       app_profile(AppId::kHistogram, ContainerFlavor::kDefault).kv_per_byte,
       1.0);

@@ -1,18 +1,17 @@
-// Tests for the SIMD kernel layer (src/simd/, RAMR_SIMD), the whitespace-
-// class tokenizer fix, and the radix-sharded atomic-global container
-// (RAMR_ATOMIC_SHARDS).
+// Tests for the SIMD kernel layer (src/simd/), the whitespace-class
+// tokenizer, and the emit traffic the kernel-table map loops produce.
 //
 // The load-bearing properties:
 //   * every kernel table (scalar / sse2 / avx2, as built) returns
 //     bit-identical results over adversarial inputs — unaligned heads and
 //     tails, runs shorter than one vector, matches straddling split
 //     boundaries;
-//   * the apps produce reference-identical output under every RAMR_SIMD
-//     mode, including words/matches split across task boundaries (the
+//   * the apps produce reference-identical output through every built
+//     table, including words/matches split across task boundaries (the
 //     streaming split-ownership rule);
-//   * the sharded container is output-identical to the single global
-//     container under concurrent skewed emission, and the mrphi runtime
-//     under RAMR_ATOMIC_SHARDS matches its unsharded run pair-for-pair.
+//   * the histogram and linear-regression maps combine in-map, so their
+//     emit traffic is bounded per split — which is what lets MRPhi's
+//     atomic global container do without sharding.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,7 +20,6 @@
 #include <optional>
 #include <random>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -30,12 +28,7 @@
 #include "apps/pca.hpp"
 #include "apps/string_match.hpp"
 #include "apps/wordcount.hpp"
-#include "common/config.hpp"
-#include "common/env.hpp"
-#include "common/error.hpp"
-#include "containers/atomic_array_container.hpp"
-#include "containers/sharded_atomic_container.hpp"
-#include "engine/strategy_atomic.hpp"
+#include "core/runtime.hpp"
 #include "mrphi/runtime.hpp"
 #include "simd/kernels.hpp"
 #include "topology/topology.hpp"
@@ -53,23 +46,6 @@ std::vector<std::pair<std::string, const Kernels*>> built_tables() {
   if (const Kernels* k = simd::avx2_kernels()) tables.emplace_back("avx2", k);
   return tables;
 }
-
-// Sets RAMR_SIMD and refreshes the cached dispatch decision; restores and
-// refreshes again on destruction.
-class SimdModeGuard {
- public:
-  explicit SimdModeGuard(const std::string& mode)
-      : override_(std::in_place, kEnvSimd, mode) {
-    simd::refresh_from_env();
-  }
-  ~SimdModeGuard() {
-    override_.reset();
-    simd::refresh_from_env();
-  }
-
- private:
-  std::optional<env::ScopedOverride> override_;
-};
 
 // Adversarial text: words and separator runs of varied lengths (many
 // shorter than one 16/32-byte vector), the full separator class, and high
@@ -222,53 +198,40 @@ TEST(SimdKernels, F64ReductionsBitIdenticalAcrossTables) {
 
 // ---------- dispatch --------------------------------------------------------------
 
-TEST(SimdDispatch, ParsesModesAndRejectsJunk) {
-  EXPECT_EQ(simd::parse_simd_mode("off"), simd::Mode::kOff);
-  EXPECT_EQ(simd::parse_simd_mode("scalar"), simd::Mode::kScalar);
-  EXPECT_EQ(simd::parse_simd_mode("native"), simd::Mode::kNative);
-  EXPECT_THROW(simd::parse_simd_mode("wide"), ConfigError);
-  EXPECT_THROW(simd::parse_simd_mode(""), ConfigError);
-}
-
-TEST(SimdDispatch, ForcedScalarFallbackPinsTheScalarTable) {
-  SimdModeGuard guard("scalar");
+TEST(SimdDispatch, ActivePicksTheWidestBuiltTable) {
   const simd::Active& a = simd::active();
-  EXPECT_EQ(a.mode, simd::Mode::kScalar);
-  EXPECT_STREQ(a.path, "scalar");
-  EXPECT_EQ(a.kernels, &simd::scalar_kernels());
-}
-
-TEST(SimdDispatch, NativePicksAWidestBuiltTable) {
-  SimdModeGuard guard("native");
-  const simd::Active& a = simd::active();
-  EXPECT_EQ(a.mode, simd::Mode::kNative);
   ASSERT_NE(a.kernels, nullptr);
   const std::string path = a.path;
-  EXPECT_TRUE(path == "scalar" || path == "sse2" || path == "avx2") << path;
+  if (a.isa == common::IsaLevel::kAvx2 && simd::avx2_kernels() != nullptr) {
+    EXPECT_EQ(path, "avx2");
+    EXPECT_EQ(a.kernels, simd::avx2_kernels());
+  } else if (a.isa != common::IsaLevel::kScalar &&
+             simd::sse2_kernels() != nullptr) {
+    EXPECT_EQ(path, "sse2");
+    EXPECT_EQ(a.kernels, simd::sse2_kernels());
+  } else {
+    EXPECT_EQ(path, "scalar");
+    EXPECT_EQ(a.kernels, &simd::scalar_kernels());
+  }
 #if defined(__x86_64__)
-  // x86-64 guarantees SSE2, so native never degrades all the way down.
+  // x86-64 guarantees SSE2, so dispatch never degrades all the way down.
   EXPECT_NE(path, "scalar");
 #endif
 }
 
-TEST(SimdDispatch, OffModeDisablesTheKernelTable) {
-  // Explicit "off" (not ambient-default: CI also runs this binary under
-  // RAMR_SIMD=scalar) — the dormant state apps read as "run the seed loop".
-  SimdModeGuard guard("off");
-  const simd::Active& a = simd::active();
-  EXPECT_EQ(a.mode, simd::Mode::kOff);
-  EXPECT_STREQ(a.path, "off");
-  EXPECT_EQ(a.kernels, nullptr);
-  // When the environment really is unset, the default must be off.
-  if (!env::get(kEnvSimd).has_value()) {
-    EXPECT_EQ(simd::resolve(simd::parse_simd_mode(
-                                env::get_string(kEnvSimd, "off")))
-                  .mode,
-              simd::Mode::kOff);
+TEST(SimdDispatch, ScopedKernelsSwapsAndRestores) {
+  const Kernels* before = simd::active().kernels;
+  const std::string before_path = simd::active().path;
+  {
+    simd::ScopedKernels guard(simd::scalar_kernels(), "scalar");
+    EXPECT_EQ(simd::active().kernels, &simd::scalar_kernels());
+    EXPECT_STREQ(simd::active().path, "scalar");
   }
+  EXPECT_EQ(simd::active().kernels, before);
+  EXPECT_EQ(simd::active().path, before_path);
 }
 
-// ---------- app-level parity across modes ----------------------------------------
+// ---------- app-level parity across tables ---------------------------------------
 
 // Runs app.map over every split and folds the emissions into a key->sum
 // map (string keys for WC, integral keys otherwise).
@@ -284,10 +247,21 @@ std::map<K, std::int64_t> fold_maps(const App& app,
   return out;
 }
 
+// Checks a folded string-keyed WC run against the serial reference.
+void expect_wordcount_matches(const std::map<std::string, std::int64_t>& got,
+                              const apps::TextInput& in,
+                              const std::string& table) {
+  const auto ref = apps::wordcount_reference(in);
+  ASSERT_EQ(got.size(), ref.size()) << table;
+  for (const auto& [k, v] : ref) {
+    EXPECT_EQ(static_cast<std::uint64_t>(got.at(std::string(k))), v)
+        << table << " key=" << k;
+  }
+}
+
 TEST(SimdApps, WordCountWhitespaceClassAndSplitBoundaries) {
-  // Raw tabs/newlines now separate words (the historical space-only scan
-  // glued "a\tb" into one word), and words straddle the tiny split size so
-  // the ownership rule is exercised under every mode.
+  // Raw tabs/newlines separate words, and words straddle the tiny split
+  // size so the ownership rule is exercised through every table.
   apps::TextInput in;
   in.text = "alpha\tbeta\ngamma\rdelta\valpha\fbeta  alpha\t\n gamma";
   in.split_bytes = 7;  // words cross split boundaries
@@ -295,14 +269,10 @@ TEST(SimdApps, WordCountWhitespaceClassAndSplitBoundaries) {
   const auto ref = apps::wordcount_reference(in);
   EXPECT_EQ(ref.at("alpha"), 3u);
   EXPECT_EQ(ref.at("beta"), 2u);
-  for (const char* mode : {"off", "scalar", "native"}) {
-    SimdModeGuard guard(mode);
-    const auto got = fold_maps<decltype(app), std::string>(app, in);
-    ASSERT_EQ(got.size(), ref.size()) << mode;
-    for (const auto& [k, v] : ref) {
-      EXPECT_EQ(static_cast<std::uint64_t>(got.at(std::string(k))), v)
-          << mode << " key=" << k;
-    }
+  for (const auto& [name, k] : built_tables()) {
+    simd::ScopedKernels guard(*k, name.c_str());
+    expect_wordcount_matches(fold_maps<decltype(app), std::string>(app, in),
+                             in, name);
   }
 }
 
@@ -311,15 +281,10 @@ TEST(SimdApps, WordCountParityOnAdversarialText) {
   in.text = adversarial_text(31, 20000);
   in.split_bytes = 97;  // prime: heads/tails land at every alignment
   const apps::WordCountApp<apps::ContainerFlavor::kDefault> app;
-  std::optional<std::map<std::string, std::int64_t>> first;
-  for (const char* mode : {"off", "scalar", "native"}) {
-    SimdModeGuard guard(mode);
-    const auto got = fold_maps<decltype(app), std::string>(app, in);
-    if (!first) {
-      first = got;
-    } else {
-      EXPECT_EQ(got, *first) << mode;
-    }
+  for (const auto& [name, k] : built_tables()) {
+    simd::ScopedKernels guard(*k, name.c_str());
+    expect_wordcount_matches(fold_maps<decltype(app), std::string>(app, in),
+                             in, name);
   }
 }
 
@@ -328,15 +293,15 @@ TEST(SimdApps, StringMatchParityIncludingFastPath) {
   in.text.text =
       "needle hay needle\tneedleneedle hay\nneedle haystack needle";
   in.text.split_bytes = 6;  // matches straddle split boundaries
-  in.patterns = {"needle"};
+  in.patterns = {"needle"};  // one pattern: the first-byte-probe fast path
   apps::StringMatchApp<apps::ContainerFlavor::kDefault> app;
   app.num_patterns = in.patterns.size();
   const auto ref = apps::string_match_reference(in);
   ASSERT_EQ(ref.at(0), 4u);  // "needleneedle"/"haystack" must not count
-  for (const char* mode : {"off", "scalar", "native"}) {
-    SimdModeGuard guard(mode);
+  for (const auto& [name, k] : built_tables()) {
+    simd::ScopedKernels guard(*k, name.c_str());
     const auto got = fold_maps<decltype(app), std::uint64_t>(app, in);
-    EXPECT_EQ(static_cast<std::uint64_t>(got.at(0)), ref.at(0)) << mode;
+    EXPECT_EQ(static_cast<std::uint64_t>(got.at(0)), ref.at(0)) << name;
   }
 }
 
@@ -353,223 +318,132 @@ TEST(SimdApps, StringMatchParityMultiPatternAdversarial) {
   apps::StringMatchApp<apps::ContainerFlavor::kDefault> app;
   app.num_patterns = in.patterns.size();
   const auto ref = apps::string_match_reference(in);
-  for (const char* mode : {"off", "scalar", "native"}) {
-    SimdModeGuard guard(mode);
+  for (const auto& [name, k] : built_tables()) {
+    simd::ScopedKernels guard(*k, name.c_str());
     const auto got = fold_maps<decltype(app), std::uint64_t>(app, in);
-    ASSERT_EQ(got.size(), ref.size()) << mode;
-    for (const auto& [k, v] : ref) {
-      EXPECT_EQ(static_cast<std::uint64_t>(got.at(k)), v) << mode;
+    ASSERT_EQ(got.size(), ref.size()) << name;
+    for (const auto& [key, v] : ref) {
+      EXPECT_EQ(static_cast<std::uint64_t>(got.at(key)), v) << name;
     }
   }
 }
 
-TEST(SimdApps, HistogramAndLrParityAcrossModes) {
+TEST(SimdApps, HistogramAndLrParityAcrossTables) {
   apps::PixelInput pix{apps::make_pixels(50021, 5), 1024};
   const apps::HistogramApp<apps::ContainerFlavor::kDefault> hg;
   const auto hg_ref = apps::histogram_reference(pix);
   apps::LrInput lr{apps::make_lr_points(30011, 6), 1000};
   const apps::LinearRegressionApp<apps::ContainerFlavor::kDefault> lrapp;
   const auto lr_ref = apps::lr_reference(lr);
-  for (const char* mode : {"off", "scalar", "native"}) {
-    SimdModeGuard guard(mode);
+  for (const auto& [name, k] : built_tables()) {
+    simd::ScopedKernels guard(*k, name.c_str());
     const auto hist = fold_maps<decltype(hg), std::uint64_t>(hg, pix);
-    for (const auto& [k, v] : hg_ref) {
-      EXPECT_EQ(static_cast<std::uint64_t>(hist.at(k)), v) << mode;
+    ASSERT_EQ(hist.size(), hg_ref.size()) << name;
+    for (const auto& [key, v] : hg_ref) {
+      EXPECT_EQ(static_cast<std::uint64_t>(hist.at(key)), v) << name;
     }
     const auto moments = fold_maps<decltype(lrapp), std::uint64_t>(lrapp, lr);
-    for (const auto& [k, v] : lr_ref) {
-      EXPECT_EQ(moments.at(k), v) << mode;
+    ASSERT_EQ(moments.size(), lr_ref.size()) << name;
+    for (const auto& [key, v] : lr_ref) {
+      EXPECT_EQ(moments.at(key), v) << name;
     }
   }
 }
 
-TEST(SimdApps, PcaScalarAndNativeBitIdentical) {
+// Folds a PCA job's float emissions per key.
+template <typename App>
+std::map<std::uint64_t, double> fold_pca(const App& app,
+                                         const apps::PcaInput& in) {
+  std::map<std::uint64_t, double> out;
+  for (std::size_t s = 0; s < app.num_splits(in); ++s) {
+    app.map(in, s, [&](std::uint64_t k, double v) { out[k] += v; });
+  }
+  return out;
+}
+
+TEST(SimdApps, PcaBitIdenticalAcrossTables) {
   apps::PcaInput in;
   in.matrix = apps::make_matrix(12, 301, 9);
   in.row_means = apps::pca_row_means(in.matrix);
   in.split_cols = 37;
+  apps::PcaMeanApp<apps::ContainerFlavor::kDefault> mean;
+  mean.in_rows_hint = in.matrix.rows;
   apps::PcaCovApp<apps::ContainerFlavor::kDefault> cov;
   cov.rows = in.matrix.rows;
-  SimdModeGuard scalar_guard("scalar");
-  std::map<std::uint64_t, double> want;
-  for (std::size_t s = 0; s < cov.num_splits(in); ++s) {
-    cov.map(in, s, [&](std::uint64_t k, double v) { want[k] += v; });
-  }
-  {
-    SimdModeGuard native_guard("native");
-    std::map<std::uint64_t, double> got;
-    for (std::size_t s = 0; s < cov.num_splits(in); ++s) {
-      cov.map(in, s, [&](std::uint64_t k, double v) { got[k] += v; });
+  std::optional<std::map<std::uint64_t, double>> want_mean, want_cov;
+  for (const auto& [name, k] : built_tables()) {
+    simd::ScopedKernels guard(*k, name.c_str());
+    const auto got_mean = fold_pca(mean, in);
+    const auto got_cov = fold_pca(cov, in);
+    if (!want_mean) {  // the scalar table comes first: the reference
+      want_mean = got_mean;
+      want_cov = got_cov;
+      continue;
     }
-    ASSERT_EQ(got.size(), want.size());
-    for (const auto& [k, v] : want) {
-      // Bit-identical: both modes run the same accumulation schedule.
-      EXPECT_EQ(got.at(k), v) << "pair " << k;
-    }
+    // EXPECT_EQ on doubles, not NEAR: every table runs the same
+    // accumulation schedule, so the sums agree to the last bit.
+    EXPECT_EQ(got_mean, *want_mean) << name;
+    EXPECT_EQ(got_cov, *want_cov) << name;
   }
-  // And both stay within float tolerance of the off-mode (seed) loop.
+  // The serial reference accumulates in a different order, so it agrees
+  // within float tolerance only.
   const auto ref = apps::pca_cov_reference(in);
-  for (const auto& [k, v] : want) {
-    EXPECT_NEAR(v, ref.at(k), 1e-6 * (1.0 + std::abs(ref.at(k))));
+  ASSERT_EQ(want_cov->size(), ref.size());
+  for (const auto& [key, v] : *want_cov) {
+    EXPECT_NEAR(v, ref.at(key), 1e-6 * (1.0 + std::abs(ref.at(key))));
   }
 }
 
-// ---------- sharded atomic container ---------------------------------------------
+// ---------- emit traffic ----------------------------------------------------------
 
-TEST(ShardedAtomic, RejectsNonPowerOfTwoShards) {
-  using C = containers::ShardedAtomicContainer<std::uint64_t>;
-  EXPECT_THROW(C(8, 0), ConfigError);
-  EXPECT_THROW(C(8, 3), ConfigError);
-  EXPECT_NO_THROW(C(8, 4));
+RuntimeConfig pipelined_config() {
+  RuntimeConfig cfg;
+  cfg.num_mappers = 2;
+  cfg.num_combiners = 2;
+  cfg.pin_policy = PinPolicy::kOsDefault;
+  return cfg;
 }
 
-TEST(ShardedAtomic, MatchesSingleContainerUnderSkewedConcurrentEmits) {
-  constexpr std::size_t kKeys = 768;
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 40000;
-  containers::AtomicArrayContainer<std::uint64_t> single(kKeys);
-  containers::ShardedAtomicContainer<std::uint64_t> sharded(kKeys, kThreads);
-  auto worker = [&](std::size_t t, auto&& emit) {
-    // Deterministic per-thread sequence, heavily skewed (Zipf-flavoured:
-    // key = 2^k spread) so a few keys take most of the traffic.
-    std::mt19937_64 rng(1000 + t);
-    for (std::size_t i = 0; i < kPerThread; ++i) {
-      const std::size_t bucket = static_cast<std::size_t>(rng() % 10);
-      const std::size_t key =
-          bucket < 7 ? bucket : rng() % kKeys;  // 70% on 7 hot keys
-      emit(key, std::uint64_t{1});
-    }
-  };
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      worker(t, [&](std::size_t k, std::uint64_t v) { single.emit(k, v); });
-    });
-  }
-  for (auto& th : threads) th.join();
-  threads.clear();
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      worker(t, [&](std::size_t k, std::uint64_t v) {
-        sharded.emit(t & (sharded.shard_count() - 1), k, v);
-      });
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  std::vector<std::pair<std::size_t, std::uint64_t>> want, got;
-  single.for_each([&](std::size_t k, std::uint64_t v) {
-    want.emplace_back(k, v);
-  });
-  sharded.for_each([&](std::size_t k, std::uint64_t v) {
-    got.emplace_back(k, v);
-  });
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(sharded.size(), single.size());
-  EXPECT_EQ(sharded.at(0), single.at(0));
-  sharded.clear();
-  EXPECT_EQ(sharded.size(), 0u);
+TEST(EmitTraffic, CoreHistogramPushesAtMostOneRecordPerBinPerSplit) {
+  // A per-byte map would push 200000 records; in-map binning caps the
+  // queue traffic at 768 per split (49 splits here).
+  const apps::PixelInput input{apps::make_pixels(200000, 3), 4096};
+  const apps::HistogramApp<apps::ContainerFlavor::kDefault> app;
+  const auto r = core::run_once(app, input, pipelined_config());
+  EXPECT_GT(r.queue_pushes, 0u);
+  EXPECT_LE(r.queue_pushes, apps::kHistogramBins * app.num_splits(input));
+  const std::map<std::uint64_t, std::uint64_t> got(r.pairs.begin(),
+                                                   r.pairs.end());
+  EXPECT_EQ(got, apps::histogram_reference(input));
 }
 
-TEST(ShardedAtomic, MinMaxFoldAcrossShards) {
-  containers::ShardedAtomicContainer<std::int64_t, containers::AtomicOp::kMin>
-      lo(2, 4);
-  containers::ShardedAtomicContainer<std::int64_t, containers::AtomicOp::kMax>
-      hi(2, 4);
-  std::size_t shard = 0;
-  for (std::int64_t v : {5, -3, 9, 0}) {
-    lo.emit(shard, 0, v);
-    hi.emit(shard, 0, v);
-    shard = (shard + 1) % 4;  // spread across shards; fold must merge
-  }
-  EXPECT_EQ(lo.at(0), -3);
-  EXPECT_EQ(hi.at(0), 9);
-  EXPECT_EQ(lo.size(), 1u);
+TEST(EmitTraffic, CoreLinearRegressionPushesFiveRecordsPerSplit) {
+  const apps::LrInput input{apps::make_lr_points(30000, 4), 1000};
+  const apps::LinearRegressionApp<apps::ContainerFlavor::kDefault> app;
+  const auto r = core::run_once(app, input, pipelined_config());
+  EXPECT_GT(r.queue_pushes, 0u);
+  EXPECT_LE(r.queue_pushes, apps::kLrKeys * app.num_splits(input));
+  const std::map<std::uint64_t, std::int64_t> got(r.pairs.begin(),
+                                                  r.pairs.end());
+  EXPECT_EQ(got, apps::lr_reference(input));
 }
 
-TEST(ShardedAtomic, ResolveShardCountValidatesAndRounds) {
-  EXPECT_EQ(engine::resolve_atomic_shards(8), 1u);  // unset = historical
-  {
-    env::ScopedOverride o(kEnvAtomicShards, "4");
-    EXPECT_EQ(engine::resolve_atomic_shards(8), 4u);
-  }
-  {
-    env::ScopedOverride o(kEnvAtomicShards, "3");  // round up to pow2
-    EXPECT_EQ(engine::resolve_atomic_shards(8), 4u);
-  }
-  {
-    env::ScopedOverride o(kEnvAtomicShards, "0");  // auto: per worker
-    EXPECT_EQ(engine::resolve_atomic_shards(6), 8u);
-    EXPECT_EQ(engine::resolve_atomic_shards(200), 64u);  // capped
-  }
-  {
-    env::ScopedOverride o(kEnvAtomicShards, "2000");
-    EXPECT_THROW(engine::resolve_atomic_shards(8), ConfigError);
-  }
-  {
-    env::ScopedOverride o(kEnvAtomicShards, "many");
-    EXPECT_THROW(engine::resolve_atomic_shards(8), ConfigError);
-  }
-}
-
-// ---------- sharded runs through the mrphi runtime --------------------------------
-
-mrphi::Options mrphi_options(std::size_t workers) {
-  mrphi::Options o;
-  o.num_workers = workers;
-  o.pin_policy = PinPolicy::kOsDefault;
-  return o;
-}
-
-TEST(ShardedRuntime, HistogramParityUnderZipfInput) {
+TEST(EmitTraffic, MrphiHistogramGlobalMatchesReference) {
   // Zipf-distributed text bytes: a handful of hot intensity bins, the
-  // worst case for the single global container's coherence traffic.
+  // worst case for the global container's coherence traffic.
   const std::string text = apps::make_text(120000, 512, 42);
   apps::PixelInput input;
   input.bytes.assign(text.begin(), text.end());
   input.split_bytes = 4096;
-  const apps::HistogramGlobalApp app;
-
-  // Pin SIMD off so the dispatch block exercises ONLY the shard knob (this
-  // binary also runs under an ambient RAMR_SIMD=scalar in CI).
-  SimdModeGuard simd_off("off");
-  mrphi::Runtime<apps::HistogramGlobalApp> rt(topo::host(),
-                                              mrphi_options(4));
-  const auto baseline = rt.run(app, input);
-  EXPECT_EQ(baseline.dispatch.atomic_shards, 0u);
-  EXPECT_FALSE(baseline.dispatch.enabled());
-  {
-    env::ScopedOverride o(kEnvAtomicShards, "4");
-    const auto sharded = rt.run(app, input);
-    EXPECT_EQ(sharded.pairs, baseline.pairs);
-    EXPECT_EQ(sharded.dispatch.atomic_shards, 4u);
-    EXPECT_NE(sharded.summary().find("shards=4"), std::string::npos);
-  }
-}
-
-TEST(ShardedRuntime, LinearRegressionParityAndSimdProvenance) {
-  apps::LrInput input{apps::make_lr_points(30000, 4), 1024};
-  const apps::LinearRegressionGlobalApp app;
-  mrphi::Runtime<apps::LinearRegressionGlobalApp> rt(topo::host(),
-                                                     mrphi_options(3));
-  std::optional<SimdModeGuard> simd_off(std::in_place, "off");
-  const auto baseline = rt.run(app, input);
-  simd_off.reset();
-  const auto ref = apps::lr_reference(input);
-  {
-    SimdModeGuard simd_guard("native");
-    env::ScopedOverride o(kEnvAtomicShards, "0");  // auto
-    const auto sharded = rt.run(app, input);
-    EXPECT_EQ(sharded.pairs, baseline.pairs);
-    ASSERT_EQ(sharded.pairs.size(), ref.size());
-    for (const auto& [k, v] : sharded.pairs) EXPECT_EQ(v, ref.at(k));
-    EXPECT_EQ(sharded.dispatch.atomic_shards, 4u);  // next pow2 of 3 workers
-    EXPECT_FALSE(sharded.dispatch.simd_path.empty());
-    EXPECT_NE(sharded.summary().find("dispatch: simd="),
-              std::string::npos);
-  }
-  // Default run: provenance absent, summary byte-stable.
-  EXPECT_EQ(baseline.summary().find("dispatch:"), std::string::npos);
+  mrphi::Options o;
+  o.num_workers = 4;
+  o.pin_policy = PinPolicy::kOsDefault;
+  mrphi::Runtime<apps::HistogramGlobalApp> rt(topo::host(), o);
+  const auto r = rt.run(apps::HistogramGlobalApp{}, input);
+  const std::map<std::uint64_t, std::uint64_t> got(r.pairs.begin(),
+                                                   r.pairs.end());
+  EXPECT_EQ(got, apps::histogram_reference(input));
+  EXPECT_NE(r.summary().find("dispatch: simd="), std::string::npos);
 }
 
 }  // namespace

@@ -325,6 +325,8 @@ TEST(Exporters, RunReportMatchesGolden) {
   report.result.pairs = 3;
   report.result.tasks_executed = 4;
   report.result.queue_pushes = 100;
+  report.result.dispatch.simd_path = "avx2";
+  report.result.dispatch.isa = "avx2";
   PhaseEntry entry;
   entry.phase = "map-combine";
   entry.pool = "mapper";
@@ -370,6 +372,7 @@ TEST(Exporters, RunReportMatchesGolden) {
       R"("queue_max_occupancy":0,"backoff_sleeps":0,)"
       R"("task_retries":0,"task_aborts":0},)"
       R"("memory":{"peak_rss_bytes":0},)"
+      R"("dispatch":{"simd_path":"avx2","isa":"avx2"},)"
       R"("phases":[{"phase":"map-combine","pool":"mapper","source":"model",)"
       R"("seconds":0.01,"instructions":8192,"mem_stall_cycles":512,)"
       R"("resource_stall_cycles":256,"input_bytes":1024,)"
