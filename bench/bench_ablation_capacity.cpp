@@ -33,8 +33,9 @@ int main(int argc, char** argv) {
       if (cap == 5000) at5000 = t;
       best = std::min(best, t);
     }
-    row.push_back("+" + stats::Table::fmt(100.0 * (at5000 - best) / best, 2) +
-                  "%");
+    std::string gap = "+";
+    gap += stats::Table::fmt(100.0 * (at5000 - best) / best, 2);
+    row.push_back(gap += '%');
     table.add_row(std::move(row));
   }
   bench::print(table);

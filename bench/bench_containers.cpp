@@ -65,7 +65,10 @@ void BM_StringKeyHashEmit(benchmark::State& state) {
   HashContainer<std::string, std::uint64_t, CountCombiner> c(4096);
   ramr::Xoshiro256 rng(1);
   std::vector<std::string> words;
-  for (int i = 0; i < 512; ++i) words.push_back("w" + std::to_string(i));
+  for (int i = 0; i < 512; ++i) {
+    std::string word = "w";
+    words.push_back(word += std::to_string(i));
+  }
   for (auto _ : state) {
     c.emit(words[rng.below(512)], 1);
   }

@@ -12,6 +12,7 @@
 // native map combines in-map and emits at most one record per bin.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "apps/flavor.hpp"
+#include "common/split_view.hpp"
 #include "containers/combiners.hpp"
 #include "containers/fixed_array_container.hpp"
 #include "containers/hash_container.hpp"
@@ -42,16 +44,32 @@ void emit_histogram(const std::uint8_t* data, std::size_t n,
   }
 }
 
+// Slurped pixel bytes: one window over the whole input, base 0.
 struct PixelInput {
+  static constexpr bool kWindowsRetire = false;
+
   std::vector<std::uint8_t> bytes;  // interleaved R,G,B
   std::size_t split_bytes = 64 * 1024;
+
+  std::size_t num_splits() const {
+    if (bytes.empty()) return 0;
+    return (bytes.size() + split_bytes - 1) / split_bytes;
+  }
+  common::SplitView split_view(std::size_t split) const {
+    const std::size_t begin = split * split_bytes;
+    return {reinterpret_cast<const char*>(bytes.data()), bytes.size(), begin,
+            std::min(begin + split_bytes, bytes.size()), 0};
+  }
 };
 
-template <ContainerFlavor F>
+// Source: a SplitSource (PixelInput, or io::StreamInput over a binary
+// stream). A byte's channel is its absolute offset mod 3, so a stream's
+// window base keeps the rotation right across windows.
+template <ContainerFlavor F, common::SplitSource Source = PixelInput>
 struct HistogramApp {
   static constexpr const char* kName = "hg";
 
-  using input_type = PixelInput;
+  using input_type = Source;
   using container_type = std::conditional_t<
       F == ContainerFlavor::kDefault,
       containers::FixedArrayContainer<std::uint64_t,
@@ -60,8 +78,7 @@ struct HistogramApp {
                                      containers::CountCombiner>>;
 
   std::size_t num_splits(const input_type& in) const {
-    if (in.bytes.empty()) return 0;
-    return (in.bytes.size() + in.split_bytes - 1) / in.split_bytes;
+    return in.num_splits();
   }
 
   container_type make_container() const {
@@ -70,10 +87,9 @@ struct HistogramApp {
 
   template <typename Emit>
   void map(const input_type& in, std::size_t split, Emit&& emit) const {
-    const std::size_t begin = split * in.split_bytes;
-    const std::size_t end =
-        std::min(begin + in.split_bytes, in.bytes.size());
-    emit_histogram(in.bytes.data() + begin, end - begin, begin % 3, emit);
+    const common::SplitView v = in.split_view(split);
+    emit_histogram(reinterpret_cast<const std::uint8_t*>(v.data) + v.begin,
+                   v.end - v.begin, (v.base + v.begin) % 3, emit);
   }
 };
 

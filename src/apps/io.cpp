@@ -50,15 +50,7 @@ TextInput load_text_file(const std::string& path, std::size_t split_bytes,
   TextInput input;
   input.text = read_file(path);
   input.split_bytes = split_bytes;
-  if (fold_words) {
-    normalize_words(input.text);
-  } else {
-    for (char& c : input.text) {
-      if (c == '\n' || c == '\r' || c == '\t' || c == '\v' || c == '\f') {
-        c = ' ';
-      }
-    }
-  }
+  if (fold_words) normalize_words(input.text);
   return input;
 }
 

@@ -13,11 +13,11 @@
 
 namespace ramr::apps {
 
-// Reads a whole file as text; whitespace other than ' ' is normalised to
-// ' ' so the word-boundary scanners in WC/SM apply directly. Throws
-// ramr::Error when the file cannot be read. Pass `fold_words = true` to
-// additionally lower-case and strip punctuation (normalize_words) — what a
-// grep-style user expects of real prose.
+// Reads a whole file as text, bytes unchanged: the WC/SM scanners already
+// separate words on the whole whitespace class (simd::is_word_separator).
+// Throws ramr::Error when the file cannot be read. Pass `fold_words = true`
+// to lower-case and strip punctuation (normalize_words) — what a grep-style
+// user expects of real prose.
 TextInput load_text_file(const std::string& path,
                          std::size_t split_bytes = 64 * 1024,
                          bool fold_words = false);

@@ -24,6 +24,20 @@ void normalize_words(std::string& text) {
   }
 }
 
+common::SplitView fold_split(const common::SplitView& v, std::string& buf) {
+  const auto is_alnum = [](char c) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    return (u >= 'a' && u <= 'z') || (u >= 'A' && u <= 'Z') ||
+           (u >= '0' && u <= '9');
+  };
+  const std::size_t lo = v.begin == 0 ? 0 : v.begin - 1;
+  std::size_t hi = v.end;
+  while (hi < v.size && is_alnum(v.data[hi])) ++hi;
+  buf.assign(v.data + lo, hi - lo);
+  normalize_words(buf);
+  return {buf.data(), buf.size(), v.begin - lo, v.end - lo, v.base + lo};
+}
+
 std::map<std::string_view, std::uint64_t> wordcount_reference(
     const TextInput& in) {
   std::map<std::string_view, std::uint64_t> out;

@@ -1,8 +1,5 @@
 #include "apps/streaming.hpp"
 
-#include <memory>
-#include <utility>
-
 #include "core/runtime.hpp"
 #include "io/chunk_source.hpp"
 #include "io/stream_feeder.hpp"
@@ -10,16 +7,23 @@
 
 namespace ramr::apps {
 
+namespace {
+using WcOverStream = WordCountApp<ContainerFlavor::kDefault, io::StreamInput>;
+using SmOverStream =
+    StringMatchApp<ContainerFlavor::kDefault, io::StreamInput>;
+using HgOverStream = HistogramApp<ContainerFlavor::kDefault, io::StreamInput>;
+}  // namespace
+
 StreamWordCountResult run_wordcount_stream(const std::string& path,
                                            const StreamOptions& opts) {
   io::StreamInput input(opts.io, opts.split_bytes);
   io::StreamFeeder feeder(
       io::open_chunk_source(path, opts.io, io::text_record_break), input,
       opts.io);
-  StreamWordCountApp app;
+  WcOverStream app;
   app.fold_words = opts.fold_words;
   app.max_distinct_words = opts.max_distinct_words;
-  core::Runtime<StreamWordCountApp> rt(topo::host(), opts.config);
+  core::Runtime<WcOverStream> rt(topo::host(), opts.config);
   return rt.run_stream(app, input, feeder);
 }
 
@@ -30,13 +34,11 @@ StreamMatchResult run_string_match_stream(
   io::StreamFeeder feeder(
       io::open_chunk_source(path, opts.io, io::text_record_break), stream,
       opts.io);
-  StreamSmInput input;
-  input.stream = &stream;
-  input.patterns = patterns;
-  StreamStringMatchApp app;
+  const SmOverStream::input_type input{&stream, patterns};
+  SmOverStream app;
   app.num_patterns = patterns.size();
   app.fold_words = opts.fold_words;
-  core::Runtime<StreamStringMatchApp> rt(topo::host(), opts.config);
+  core::Runtime<SmOverStream> rt(topo::host(), opts.config);
   return rt.run_stream(app, input, feeder);
 }
 
@@ -46,8 +48,8 @@ StreamHistogramResult run_histogram_stream(const std::string& path,
   // Binary stream: windows cut anywhere (null record break).
   io::StreamFeeder feeder(io::open_chunk_source(path, opts.io, nullptr),
                           input, opts.io);
-  StreamHistogramApp app;
-  core::Runtime<StreamHistogramApp> rt(topo::host(), opts.config);
+  const HgOverStream app;
+  core::Runtime<HgOverStream> rt(topo::host(), opts.config);
   return rt.run_stream(app, input, feeder);
 }
 

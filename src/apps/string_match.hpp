@@ -8,6 +8,8 @@
 // Counts, for each of a fixed set of patterns, how many whitespace-
 // delimited words of the text match it exactly. Keys are pattern indices,
 // so the default container is a fixed array sized to the pattern count.
+// Like Word Count, the app maps over any SplitSource: slurped text or an
+// io::StreamInput.
 #pragma once
 
 #include <algorithm>
@@ -27,16 +29,31 @@
 
 namespace ramr::apps {
 
-struct SmInput {
-  TextInput text;
+// The text to scan plus the patterns. A copyable source (slurped
+// TextInput) is held by value; a stream, whose live window table cannot be
+// copied, by pointer.
+template <common::SplitSource Source = TextInput>
+struct BasicSmInput {
+  std::conditional_t<std::is_copy_constructible_v<Source>, Source,
+                     const Source*>
+      text;
   std::vector<std::string> patterns;
-};
 
-template <ContainerFlavor F>
+  const Source& source() const {
+    if constexpr (std::is_pointer_v<decltype(text)>) {
+      return *text;
+    } else {
+      return text;
+    }
+  }
+};
+using SmInput = BasicSmInput<>;
+
+template <ContainerFlavor F, common::SplitSource Source = TextInput>
 struct StringMatchApp {
   static constexpr const char* kName = "sm";
 
-  using input_type = SmInput;
+  using input_type = BasicSmInput<Source>;
   using container_type = std::conditional_t<
       F == ContainerFlavor::kDefault,
       containers::FixedArrayContainer<std::uint64_t,
@@ -45,11 +62,12 @@ struct StringMatchApp {
                                      containers::CountCombiner>>;
 
   std::size_t num_patterns = 0;  // must match input.patterns.size()
+  // Lower-case and strip punctuation per split (text_split); streamed
+  // sources only.
+  bool fold_words = false;
 
   std::size_t num_splits(const input_type& in) const {
-    if (in.text.text.empty()) return 0;
-    return (in.text.text.size() + in.text.split_bytes - 1) /
-           in.text.split_bytes;
+    return in.source().num_splits();
   }
 
   container_type make_container() const {
@@ -60,10 +78,12 @@ struct StringMatchApp {
   void map(const input_type& in, std::size_t split, Emit&& emit) const {
     // Same word-ownership rule as Word Count: a split owns the words that
     // start inside its raw byte range.
-    const std::string_view text(in.text.text);
-    std::size_t begin = split * in.text.split_bytes;
-    const std::size_t end =
-        std::min(begin + in.text.split_bytes, text.size());
+    std::string folded;
+    const common::SplitView v =
+        text_split(in.source(), split, fold_words, folded);
+    const std::string_view text(v.data, v.size);
+    std::size_t begin = v.begin;
+    const std::size_t end = v.end;
     const simd::Kernels& k = *simd::active().kernels;
     const char* data = text.data();
     if (begin != 0 && !is_word_separator(text[begin - 1])) {

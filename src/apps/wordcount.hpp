@@ -3,9 +3,10 @@
 // Counts word occurrences in a text. The input is split into ~split_bytes
 // byte ranges; ranges are snapped to word boundaries (a split that does not
 // start at 0 skips its leading partial word; every split finishes the word
-// it ends inside). Keys are std::string_view slices of the input text —
-// zero-copy, as in Phoenix++'s pointer-based keys — so results remain valid
-// only while the input string is alive.
+// it ends inside). Over slurped text, keys are std::string_view slices of
+// the input — zero-copy, as in Phoenix++'s pointer-based keys — so results
+// remain valid only while the input string is alive; over a stream they
+// are owned strings.
 //
 // Containers: the key set is not known a priori, so the *default* container
 // is a regular hash table (the paper: "except WC that uses thread-local
@@ -13,6 +14,7 @@
 // `max_distinct_words`.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -21,6 +23,8 @@
 #include <type_traits>
 
 #include "apps/flavor.hpp"
+#include "common/error.hpp"
+#include "common/split_view.hpp"
 #include "containers/combiners.hpp"
 #include "containers/hash_container.hpp"
 #include "simd/kernels.hpp"
@@ -32,9 +36,23 @@ namespace ramr::apps {
 // predicate so they agree byte-for-byte.
 using simd::is_word_separator;
 
+// Slurped text: one window over the whole string that outlives the run, so
+// the apps key their results by zero-copy views into it.
 struct TextInput {
+  static constexpr bool kWindowsRetire = false;
+
   std::string text;
   std::size_t split_bytes = 64 * 1024;
+
+  std::size_t num_splits() const {
+    if (text.empty()) return 0;
+    return (text.size() + split_bytes - 1) / split_bytes;
+  }
+  common::SplitView split_view(std::size_t split) const {
+    const std::size_t begin = split * split_bytes;
+    return {text.data(), text.size(), begin,
+            std::min(begin + split_bytes, text.size()), 0};
+  }
 };
 
 // Normalises real-world text in place so the space-delimited scanners
@@ -43,25 +61,57 @@ struct TextInput {
 // inputs are already in this form; use this for files (see apps/io.hpp).
 void normalize_words(std::string& text);
 
-template <ContainerFlavor F>
+// fold_words for a read-only window (a stream's mmap windows are
+// PROT_READ): copies the split's bytes into `buf` — from begin-1, for the
+// word-ownership peek, to the first non-alphanumeric byte at or after
+// `end`, so the word crossing `end` is complete — normalizes the copy, and
+// returns the split re-based onto it. Map bodies then see exactly the
+// words a normalized slurp would give them.
+common::SplitView fold_split(const common::SplitView& v, std::string& buf);
+
+// The split a text app's map() scans: the source's own view, or with
+// `fold` its folded copy in `buf`. Folding is for owned-key sources only:
+// a view key into `buf` would dangle, so slurped text is folded once at
+// load time instead (load_text_file).
+template <common::SplitSource Source>
+common::SplitView text_split(const Source& in, std::size_t split, bool fold,
+                             std::string& buf) {
+  const common::SplitView v = in.split_view(split);
+  if (!fold) return v;
+  if constexpr (!Source::kWindowsRetire) {
+    throw ConfigError(
+        "fold_words needs a streamed source; fold slurped text at load "
+        "time (load_text_file)");
+  }
+  return fold_split(v, buf);
+}
+
+// Source: a SplitSource (TextInput, or io::StreamInput for out-of-core
+// runs). Sources whose windows retire under the run get owned std::string
+// keys; the others keep zero-copy string_view keys.
+template <ContainerFlavor F, common::SplitSource Source = TextInput>
 struct WordCountApp {
   static constexpr const char* kName = "wc";
 
-  using input_type = TextInput;
+  using input_type = Source;
+  using key_type = std::conditional_t<Source::kWindowsRetire, std::string,
+                                      std::string_view>;
   using container_type = std::conditional_t<
       F == ContainerFlavor::kDefault,
-      containers::HashContainer<std::string_view, std::uint64_t,
+      containers::HashContainer<key_type, std::uint64_t,
                                 containers::CountCombiner>,
-      containers::FixedHashContainer<std::string_view, std::uint64_t,
+      containers::FixedHashContainer<key_type, std::uint64_t,
                                      containers::CountCombiner>>;
 
   // Capacity bound for the fixed-size hash flavor (and sizing hint for the
   // regular one).
   std::size_t max_distinct_words = 4096;
+  // Lower-case and strip punctuation per split (text_split); owned-key
+  // sources only.
+  bool fold_words = false;
 
   std::size_t num_splits(const input_type& in) const {
-    if (in.text.empty()) return 0;
-    return (in.text.size() + in.split_bytes - 1) / in.split_bytes;
+    return in.num_splits();
   }
 
   container_type make_container() const {
@@ -74,9 +124,11 @@ struct WordCountApp {
     // raw byte range [begin, end) — a word crossing `end` is consumed in
     // full here, and a word crossing `begin` was already consumed by the
     // previous split (so a leading partial word is skipped).
-    const std::string_view text(in.text);
-    std::size_t begin = split * in.split_bytes;
-    const std::size_t end = std::min(begin + in.split_bytes, text.size());
+    std::string folded;
+    const common::SplitView v = text_split(in, split, fold_words, folded);
+    const std::string_view text(v.data, v.size);
+    std::size_t begin = v.begin;
+    const std::size_t end = v.end;
     // Tokenization through the separator-class kernels (simd/kernels.hpp).
     const simd::Kernels& k = *simd::active().kernels;
     const char* data = text.data();
@@ -88,7 +140,7 @@ struct WordCountApp {
       pos = k.skip_separators(data, pos, end);
       if (pos >= end) break;  // next word starts in the next split
       const std::size_t word_end = k.find_separator(data, pos, text.size());
-      emit(text.substr(pos, word_end - pos), std::uint64_t{1});
+      emit(key_type(text.substr(pos, word_end - pos)), std::uint64_t{1});
       pos = word_end;
     }
   }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "io/io_config.hpp"
+#include "simd/kernels.hpp"
 
 namespace ramr::io {
 
@@ -44,12 +45,9 @@ struct WindowData {
 // this returns true. Null = binary stream, cut anywhere.
 using RecordBreak = bool (*)(char);
 
-// The whitespace class of the text apps (everything load_text_file
-// normalises to ' '): breaking after any of these never cuts a word.
-inline bool text_record_break(char c) {
-  return c == ' ' || c == '\n' || c == '\r' || c == '\t' || c == '\v' ||
-         c == '\f';
-}
+// The word-separator class of the text apps (simd::is_word_separator):
+// breaking after any of these never cuts a word.
+inline bool text_record_break(char c) { return simd::is_word_separator(c); }
 
 class ChunkSource {
  public:

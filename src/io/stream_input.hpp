@@ -1,10 +1,10 @@
 // StreamInput — the bounded window-slot table between the IO lane and the
 // map workers.
 //
-// The streaming input_type of the apps in src/apps/streaming.hpp: instead
-// of a materialized split vector, split_view(global_split) resolves a
-// split index to a byte range inside one of `depth` (RAMR_IO_DEPTH) live
-// windows. Global split indexing is strided: every window owns the index
+// The streaming split source of the text/byte suite apps (a SplitSource,
+// common/split_view.hpp): instead of one materialized window,
+// split_view(global_split) resolves a split index to a byte range inside
+// one of `depth` (RAMR_IO_DEPTH) live windows. Global split indexing is strided: every window owns the index
 // range [w * splits_per_window, (w+1) * splits_per_window); short windows
 // (the file tail, a record-snapped cut) simply publish fewer splits and
 // leave the rest of their stride unused — no task ever references them.
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/split_view.hpp"
 #include "io/chunk_source.hpp"
 #include "io/io_config.hpp"
 #include "sched/task_queue.hpp"
@@ -39,22 +40,9 @@ namespace ramr::io {
 
 class StreamInput : public sched::TaskCompletionListener {
  public:
-  // One split as the app's map() sees it: the in-window byte range
-  // [begin, end) of the whole window [window_data, window_data +
-  // window_size). Exposing the window, not just the slice, lets the text
-  // apps keep their exact materialized-path idiom: peek at byte begin-1 to
-  // apply the word-ownership rule, and finish a word that crosses `end`
-  // by scanning on to window_size (a word never crosses a *window* edge —
-  // the source snapped the cut to a record break). `window_base` is the
-  // absolute stream offset of window_data[0] (the histogram's channel
-  // rotation keys off absolute position).
-  struct SplitView {
-    const char* window_data = nullptr;
-    std::size_t window_size = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::uint64_t window_base = 0;
-  };
+  // Window memory is released (retire) while the run is still going, so
+  // apps mapping over a stream emit owned keys (common/split_view.hpp).
+  static constexpr bool kWindowsRetire = true;
 
   StreamInput(const IoConfig& cfg, std::size_t split_bytes)
       : split_bytes_(split_bytes), slots_(cfg.depth) {
@@ -67,20 +55,24 @@ class StreamInput : public sched::TaskCompletionListener {
     splits_per_window_ = (cfg.window_bytes + split_bytes_ - 1) / split_bytes_;
     if (splits_per_window_ == 0) splits_per_window_ = 1;
   }
+  StreamInput(const StreamInput&) = delete;
+  StreamInput& operator=(const StreamInput&) = delete;
 
   std::size_t splits_per_window() const { return splits_per_window_; }
   std::size_t split_bytes() const { return split_bytes_; }
   std::size_t depth() const { return slots_.size(); }
 
-  // Total splits published so far (grows while the feeder runs).
-  std::size_t published_splits() const {
+  // Total splits published so far (grows while the feeder runs). Streaming
+  // runs never distribute a precomputed count; this is the SplitSource
+  // surface (and the count so far, for diagnostics).
+  std::size_t num_splits() const {
     return published_splits_.load(std::memory_order_acquire);
   }
 
   // Worker side: resolve a global split index to its byte range. Only
   // valid for splits that are part of a pushed task (the feeder never
   // enqueues the unused tail of a window's stride).
-  SplitView split_view(std::size_t split) const {
+  common::SplitView split_view(std::size_t split) const {
     const std::size_t w = split / splits_per_window_;
     const Slot& slot = slots_[w % slots_.size()];
     assert(slot.ordinal == w && "split resolved after its window retired");
@@ -89,8 +81,8 @@ class StreamInput : public sched::TaskCompletionListener {
     const std::size_t end =
         begin + split_bytes_ < slot.window.size ? begin + split_bytes_
                                                 : slot.window.size;
-    return SplitView{slot.window.data, slot.window.size, begin, end,
-                     slot.window.base_offset};
+    return common::SplitView{slot.window.data, slot.window.size, begin, end,
+                             slot.window.base_offset};
   }
 
   // Engine side (TaskQueues::notify_complete): a task fully succeeded;

@@ -24,9 +24,10 @@
 namespace ramr::simd {
 
 // The separator class the text kernels scan for: ' ' plus the C whitespace
-// escapes \t \n \v \f \r (bytes 9..13). Matches what load_text_file and
-// stream_classify fold to ' ' at normalization time, so slurped, streamed
-// and raw-constructed inputs all tokenize identically.
+// escapes \t \n \v \f \r (bytes 9..13). The one definition of the class:
+// the serial references tokenize on it and the streaming chunk sources cut
+// windows after it (io::text_record_break), so slurped, streamed and
+// raw-constructed inputs all tokenize identically without rewriting bytes.
 constexpr bool is_word_separator(char c) {
   const unsigned char u = static_cast<unsigned char>(c);
   return c == ' ' || (u >= 9 && u <= 13);

@@ -410,18 +410,23 @@ TEST(MetisThroughRuntimes, WordCountWithMetisContainerMatchesReference) {
 
 // ---------- file I/O --------------------------------------------------------------------
 
-TEST(Io, LoadTextFileNormalisesWhitespaceAndRoundTrips) {
+TEST(Io, LoadTextFileKeepsRawBytesAndRoundTrips) {
   const std::string path = ::testing::TempDir() + "/ramr_io_text.txt";
+  const std::string raw = "hello world\nhello\tagain\rhello\v\fbye";
   {
-    std::ofstream out(path);
-    out << "hello world\nhello\tagain\rhello";
+    std::ofstream out(path, std::ios::binary);
+    out << raw;
   }
   const TextInput input = load_text_file(path, 7);
-  EXPECT_EQ(input.text, "hello world hello again hello");
+  EXPECT_EQ(input.text, raw);  // the tokenizer separates on the whole class
   const auto ref = wordcount_reference(input);
+  EXPECT_EQ(ref.size(), 4u);
   EXPECT_EQ(ref.at("hello"), 3u);
   EXPECT_EQ(ref.at("world"), 1u);
   EXPECT_EQ(ref.at("again"), 1u);
+  EXPECT_EQ(ref.at("bye"), 1u);
+  const WordCountApp<ContainerFlavor::kDefault> app;
+  expect_both_runtimes_match(app, input, ref);
 }
 
 TEST(Io, NormalizeWordsFoldsCaseAndPunctuation) {
@@ -447,6 +452,15 @@ TEST(Io, LoadTextFileWithWordFolding) {
   EXPECT_EQ(ref.at("the"), 3u);
   EXPECT_EQ(ref.at("cat"), 3u);
   EXPECT_EQ(ref.at("and"), 1u);
+}
+
+TEST(Io, FoldWordsOnSlurpedAppIsRefused) {
+  // View keys would point into the per-split folded copy; slurped text is
+  // folded at load time instead.
+  WordCountApp<ContainerFlavor::kDefault> app;
+  app.fold_words = true;
+  const TextInput input{"Hello, world", 4};
+  EXPECT_THROW(app.map(input, 0, [](auto&&...) {}), ConfigError);
 }
 
 TEST(Io, LoadBinaryFilePreservesBytes) {

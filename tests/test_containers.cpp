@@ -141,7 +141,8 @@ TYPED_TEST(HashContainerTyped, MatchesStdMapReference) {
   std::map<std::string, std::uint64_t> ref;
   Xoshiro256 rng(77);
   for (int i = 0; i < 5000; ++i) {
-    const std::string key = "k" + std::to_string(rng.below(300));
+    std::string key = "k";
+    key += std::to_string(rng.below(300));
     const std::uint64_t v = rng.below(10);
     c.emit(key, v);
     ref[key] += v;

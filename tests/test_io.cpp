@@ -1,13 +1,16 @@
 // Tests for the out-of-core streaming input subsystem (src/io/): window
 // chunking invariants (record-aligned cuts, carry-over, EOF probe), the
 // RAMR_IO* knob validation, streaming-vs-slurped result parity for the
-// three text/byte suite apps under both window sources, gzip round-trip,
+// text/byte suite apps instantiated over io::StreamInput (a seeded sweep
+// over window/split shapes, both window sources, fold on and off, WC, SM
+// single- and multi-pattern, HG), gzip round-trip,
 // IO-lane fault injection, and streaming through the service scheduler.
 // Time bounds are generous — this suite runs under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "common/config.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "engine/phase_driver.hpp"
 #include "engine/pool_set.hpp"
 #include "engine/strategy_fused.hpp"
@@ -34,6 +38,8 @@ namespace ramr {
 namespace {
 
 using apps::StreamOptions;
+using WcOverStream =
+    apps::WordCountApp<apps::ContainerFlavor::kDefault, io::StreamInput>;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "ramr_io_" + name;
@@ -287,21 +293,6 @@ TEST(StreamingParity, FoldedWordCountMatchesNormalizedSlurp) {
   EXPECT_EQ(as_map(result.pairs).at("fox"), 5u);
 }
 
-TEST(StreamingParity, StringMatchMatchesReference) {
-  const std::string text = apps::make_text(120000, 200, 8);
-  const std::string path = write_temp("sm_parity.txt", text);
-  const std::vector<std::string> patterns = {"w0", "w1", "w42",
-                                             "not-in-text"};
-  const apps::SmInput slurped{apps::load_text_file(path, 1024), patterns};
-  const auto ref = apps::string_match_reference(slurped);
-
-  const auto result = apps::run_string_match_stream(
-      path, patterns, stream_options(io::IoMode::kDirect));
-  std::map<std::uint64_t, std::uint64_t> got(result.pairs.begin(),
-                                             result.pairs.end());
-  EXPECT_EQ(got, ref);
-}
-
 TEST(StreamingParity, HistogramRotationSurvivesWindowCuts) {
   // Windows of a binary stream cut anywhere; the channel of a byte is its
   // absolute offset mod 3, so any base_offset bug shifts whole windows
@@ -321,6 +312,87 @@ TEST(StreamingParity, HistogramRotationSurvivesWindowCuts) {
     if (v != 0) got[k] += v;
   }
   EXPECT_EQ(got, ref);
+}
+
+// Seeded prose for the sweep: mixed-case words, some with punctuation
+// attached (or joining two words with no space), separated by runs drawn
+// from the whole whitespace class — so split and window edges land inside
+// words, inside punctuation and inside separator runs.
+std::string make_prose(std::size_t approx_bytes, std::uint64_t seed) {
+  static const char* const kWords[] = {"the", "The", "THE",   "fox",
+                                       "Fox", "FOX", "quick", "brown",
+                                       "dog", "x-ray", "it's", "2020",
+                                       "a",   "jumps"};
+  static const char* const kPunct[] = {"", "", "", ",", ".", ";", "!", "'"};
+  static const char* const kSeps[] = {" ", " ",   "  ", "\t", "\n",
+                                      "\r\n", "\v", "\f", ""};
+  Xoshiro256 rng(seed);
+  std::string out;
+  while (out.size() < approx_bytes) {
+    out += kWords[rng.below(std::size(kWords))];
+    const char* punct = kPunct[rng.below(std::size(kPunct))];
+    out += punct;
+    const char* sep = kSeps[rng.below(std::size(kSeps))];
+    out += (*sep == '\0' && *punct == '\0') ? " " : sep;
+  }
+  return out;
+}
+
+// Every cell of the sweep — (window, split) x source x fold x app — against
+// the serial reference over the slurped file.
+TEST(StreamingParity, SweepMatchesSlurpedReference) {
+  const std::string path = write_temp("sweep.txt", make_prose(6000, 21));
+  const apps::PixelInput pixels = apps::load_binary_file(path, 1024);
+  const auto hg_ref = apps::histogram_reference(pixels);
+  const std::vector<std::string> one = {"fox"};
+  const std::vector<std::string> many = {"the", "Fox",  "fox", "x-ray",
+                                         "dog.", "2020", "fox", "absent"};
+
+  // Fixed corner pairs (1-byte splits, windows not a multiple of the split)
+  // plus seeded random ones.
+  std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {64, 1}, {100, 7}, {1000, 300}, {4096, 4096}};
+  Xoshiro256 rng(22);
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t window = 64 + rng.below(2000);
+    shapes.emplace_back(window, 1 + rng.below(window + 64));
+  }
+
+  for (const bool fold : {false, true}) {
+    const apps::TextInput slurped = apps::load_text_file(path, 1024, fold);
+    const auto wc_ref = as_map(apps::wordcount_reference(slurped));
+    const auto sm_one_ref =
+        apps::string_match_reference(apps::SmInput{slurped, one});
+    const auto sm_many_ref =
+        apps::string_match_reference(apps::SmInput{slurped, many});
+    ASSERT_FALSE(sm_one_ref.empty());
+    ASSERT_GT(sm_many_ref.size(), 2u);
+    for (const auto& [window, split] : shapes) {
+      for (const io::IoMode mode : {io::IoMode::kMmap, io::IoMode::kDirect}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "window " << window << " split " << split << " "
+                     << io::to_string(mode) << " fold " << fold);
+        StreamOptions opts = stream_options(mode, window, split);
+        opts.fold_words = fold;
+        EXPECT_EQ(as_map(apps::run_wordcount_stream(path, opts).pairs),
+                  wc_ref);
+        const auto sm_one = apps::run_string_match_stream(path, one, opts);
+        EXPECT_EQ((std::map<std::uint64_t, std::uint64_t>(
+                      sm_one.pairs.begin(), sm_one.pairs.end())),
+                  sm_one_ref);
+        const auto sm_many = apps::run_string_match_stream(path, many, opts);
+        EXPECT_EQ((std::map<std::uint64_t, std::uint64_t>(
+                      sm_many.pairs.begin(), sm_many.pairs.end())),
+                  sm_many_ref);
+        if (fold) continue;  // histograms bin raw bytes
+        std::map<std::uint64_t, std::uint64_t> hg;
+        for (const auto& [k, v] : apps::run_histogram_stream(path, opts).pairs) {
+          if (v != 0) hg[k] += v;
+        }
+        EXPECT_EQ(hg, hg_ref);
+      }
+    }
+  }
 }
 
 TEST(StreamingParity, EmptyInputProducesEmptyResult) {
@@ -402,10 +474,10 @@ TEST(Streaming, FusedStrategyMatchesPipelined) {
   io::StreamFeeder feeder(
       io::open_chunk_source(path, opts.io, io::text_record_break), input,
       opts.io);
-  apps::StreamWordCountApp app;
+  const WcOverStream app;
   engine::PoolSet pools(topo::host(), 2, PinPolicy::kOsDefault);
   engine::PhaseDriver driver(pools);
-  engine::FusedCombine<apps::StreamWordCountApp> strategy;
+  engine::FusedCombine<WcOverStream> strategy;
   const auto result = driver.run_stream(strategy, app, input, feeder);
   EXPECT_EQ(as_map(result.pairs), as_map(ref));
   EXPECT_EQ(result.io.source, "mmap");
@@ -430,7 +502,7 @@ TEST(Streaming, ServiceJobRunsStreamThroughScheduler) {
         io::StreamFeeder feeder(
             io::open_chunk_source(path, opts.io, io::text_record_break),
             input, opts.io);
-        apps::StreamWordCountApp app;
+        const WcOverStream app;
         got = as_map(ctx.run_stream(app, input, feeder).pairs);
       });
   const service::JobReport report = sched.wait(id);
