@@ -1,9 +1,9 @@
 // Observability overhead: the whole plane must cost < 2% (docs/
 // OBSERVABILITY.md budget), measured at its two hot surfaces:
 //
-//   engine row   — one runtime, identical input, RAMR_OBS off vs on: the
-//                  skew profiler's per-emission tick + per-task clock
-//                  reads are the only delta;
+//   engine row   — one runtime, identical input, RAMR_OBS off vs full:
+//                  the telemetry session's metric updates plus the skew
+//                  profiler's per-emission tick + per-task clock reads;
 //   service row  — a serial job stream through one scheduler, plane off
 //                  vs on: adds lifecycle events, per-attempt recorders,
 //                  and the sampler thread.
@@ -42,7 +42,7 @@ RuntimeConfig base_config(bool obs) {
   RuntimeConfig cfg;
   cfg.mapper_combiner_ratio = 2;
   cfg.pin_policy = PinPolicy::kOsDefault;
-  cfg.observability = obs;
+  cfg.obs = obs ? ObsLevel::kFull : ObsLevel::kOff;
   return cfg;
 }
 
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   synth::SynthApp app;
   app.container_keys = input.keys;
 
-  bench::banner("Observability overhead (off vs RAMR_OBS=1)",
+  bench::banner("Observability overhead (off vs RAMR_OBS=full)",
                 "docs/OBSERVABILITY.md: < 2% budget");
 
   const double engine_off = min_seconds(

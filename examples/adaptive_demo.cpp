@@ -39,17 +39,14 @@ synth::SynthParams demo_params() {
   return params;
 }
 
-bool run_once(const char* label, const RuntimeConfig& config,
+bool run_once(const char* label, RuntimeConfig config,
               const std::string& report_path) {
   const synth::SynthParams params = demo_params();
   synth::SynthApp app;
   app.container_keys = params.keys;
 
-  adapt::ControllerOptions options;
-  options.report_path = report_path;
-  const auto result = adapt::run_adaptive(topo::host(), config, app, params,
-                                          /*recorder=*/nullptr,
-                                          /*policy=*/nullptr, options);
+  config.adapt_report_path = report_path;
+  const auto result = adapt::run_adaptive(topo::host(), config, app, params);
 
   std::uint64_t payload = 0;
   for (const auto& [k, v] : result.pairs) payload += v.payload;

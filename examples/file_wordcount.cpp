@@ -82,15 +82,16 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const io::IoConfig io_cfg = io::IoConfig::from_env();
-    RuntimeConfig config;
-    config.mapper_combiner_ratio = 2;
-    config.pin_policy = PinPolicy::kOsDefault;
+    RuntimeConfig base;
+    base.mapper_combiner_ratio = 2;
+    base.pin_policy = PinPolicy::kOsDefault;
+    const RuntimeConfig config = RuntimeConfig::from_env(base);
+    const io::IoConfig& io_cfg = config.io;
 
     if (io_cfg.enabled()) {
       // Streaming path: the file is never fully resident.
       std::cout << "streaming words from " << in_path << " ("
-                << io_cfg.summary() << ")\n";
+                << config.summary() << ")\n";
       apps::StreamOptions opts;
       opts.config = config;
       opts.io = io_cfg;

@@ -4,7 +4,7 @@
 // should be active *simultaneously*, which is the whole point of the
 // decoupled architecture.
 //
-// With RAMR_TELEMETRY=1 the run additionally writes two artifacts to the
+// With RAMR_OBS=metrics the run additionally writes two artifacts to the
 // working directory (see docs/OBSERVABILITY.md):
 //   ramr_trace.json       Chrome trace-event JSON — open in Perfetto or
 //                         chrome://tracing for an interactive timeline
@@ -35,7 +35,7 @@ int main() {
   config.num_combiners = 2;
   config.pin_policy = PinPolicy::kOsDefault;
   config.batch_size = 128;
-  // Honour the RAMR_* env knobs (notably RAMR_TELEMETRY / RAMR_PMU /
+  // Honour the RAMR_* env knobs (notably RAMR_OBS / RAMR_PMU /
   // RAMR_SAMPLE_US) on top of the defaults above.
   config = RuntimeConfig::from_env(config);
   core::Runtime<apps::WordCountApp<kFlavor>> runtime(topo::host(), config);
@@ -76,7 +76,8 @@ int main() {
     telemetry::RunReport report;
     report.app = "wordcount";
     report.runtime = "ramr";
-    report.config_summary = config.summary();
+    report.effective_config =
+        telemetry::effective_config(runtime.config(), result.plan);
     report.result = telemetry::make_run_info(result);
     telemetry::fill_from_session(report, *session);
     telemetry::write_json_file("ramr_run_report.json", [&](std::ostream& out) {

@@ -63,7 +63,7 @@ void write_report(service::Scheduler& sched, const std::string& path) {
   std::cout << "report: wrote " << path << '\n';
 }
 
-// With RAMR_OBS=1, dump the stitched service trace for Perfetto.
+// With RAMR_OBS=full, dump the stitched service trace for Perfetto.
 void write_obs_trace(service::Scheduler& sched) {
   if (!sched.observability()) return;
   const std::string path = "ramr_service_trace.json";
@@ -155,7 +155,7 @@ int run_soak(double budget_seconds, const std::string& report_path) {
       spec.config.fault_spec = "stall_emit=100,stall_ms=50";  // emit stall
     } else if (roll < 0.33) {
       // Impossible budget over a stalled emit: a deterministic deadline
-      // abort (and, with RAMR_OBS=1, a post-mortem) even on fast hosts.
+      // abort (and, with RAMR_OBS=full, a post-mortem) even on fast hosts.
       spec.config.fault_spec = "stall_emit=100,stall_ms=50";
       spec.deadline_ms = 1;
     }

@@ -40,7 +40,6 @@
 #include "adapt/plan_cache.hpp"
 #include "adapt/suitability.hpp"
 #include "common/config.hpp"
-#include "common/env.hpp"
 #include "common/timing.hpp"
 #include "containers/container_traits.hpp"
 #include "engine/phase_driver.hpp"
@@ -63,10 +62,6 @@ struct ControllerOptions {
   double max_probe_fraction = 0.5;
 
   SuitabilityModel model;
-
-  // Where to write the ramr-adapt-plan-v1 JSON ("" = $RAMR_ADAPT_REPORT,
-  // and no report when that is unset too).
-  std::string report_path;
 
   std::chrono::microseconds governor_interval{5000};
 };
@@ -153,10 +148,10 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
                               engine::PoolDepot* depot = nullptr) {
   engine::PoolDepot local_depot;
   engine::PoolDepot& pools_from = depot != nullptr ? *depot : local_depot;
-  if (options.report_path.empty()) {
-    options.report_path = env::get(kEnvAdaptReport).value_or("");
-  }
   const RuntimeConfig cfg = base.resolved(topology.num_logical());
+  const bool ratio_pinned =
+      cfg.pinned[Knob::kRatio] || cfg.pinned[Knob::kMappers] ||
+      cfg.pinned[Knob::kCombiners];
   const std::size_t total_splits = app.num_splits(input);
 
   const PlanKey key{app_label<S>(), input_size_bucket(total_splits),
@@ -173,23 +168,20 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
     plan = *hit;
     // Env-pinned knobs beat the cache; unset cached fields fall back to the
     // config so old cache entries stay usable.
-    if (cfg.env_overrides.ratio || cfg.env_overrides.workers ||
-        plan.ratio == 0) {
+    if (ratio_pinned || plan.ratio == 0) {
       plan.ratio = cfg.mapper_combiner_ratio;
     }
-    if (cfg.env_overrides.batch_size || plan.batch_size == 0) {
+    if (cfg.pinned[Knob::kBatchSize] || plan.batch_size == 0) {
       plan.batch_size = cfg.batch_size;
     }
-    if (cfg.env_overrides.queue_capacity || plan.queue_capacity == 0) {
+    if (cfg.pinned[Knob::kQueueCapacity] || plan.queue_capacity == 0) {
       plan.queue_capacity = cfg.queue_capacity;
     }
-    if (cfg.env_overrides.pin_policy || plan.pin_policy.empty()) {
+    if (cfg.pinned[Knob::kPinPolicy] || plan.pin_policy.empty()) {
       plan.pin_policy = to_string(cfg.pin_policy);
     }
   } else {
     const std::size_t per = options.probe_tasks_per_candidate * cfg.task_size;
-    const bool ratio_pinned =
-        cfg.env_overrides.ratio || cfg.env_overrides.workers;
     const std::size_t planned_candidates = ratio_pinned ? 2 : 3;
     const bool budget_ok =
         per > 0 && total_splits > 0 &&
@@ -292,19 +284,18 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
   const bool decided = !plan.strategy.empty();
   RuntimeConfig mcfg = cfg;
   if (decided && plan.strategy == "pipelined") {
-    if (!cfg.env_overrides.ratio && !cfg.env_overrides.workers &&
-        plan.ratio != cfg.mapper_combiner_ratio) {
+    if (!ratio_pinned && plan.ratio != cfg.mapper_combiner_ratio) {
       mcfg.mapper_combiner_ratio = plan.ratio;
       mcfg.num_mappers = 0;
       mcfg.num_combiners = 0;
     }
-    if (!cfg.env_overrides.batch_size && plan.batch_size > 0) {
+    if (!cfg.pinned[Knob::kBatchSize] && plan.batch_size > 0) {
       mcfg.batch_size = plan.batch_size;
     }
-    if (!cfg.env_overrides.queue_capacity && plan.queue_capacity > 0) {
+    if (!cfg.pinned[Knob::kQueueCapacity] && plan.queue_capacity > 0) {
       mcfg.queue_capacity = plan.queue_capacity;
     }
-    if (!cfg.env_overrides.pin_policy && !plan.pin_policy.empty()) {
+    if (!cfg.pinned[Knob::kPinPolicy] && !plan.pin_policy.empty()) {
       mcfg.pin_policy = parse_pin_policy(plan.pin_policy);
     }
   }
@@ -321,14 +312,14 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
     const bool want_governor =
         cfg.adapt_mode == AdaptMode::kFull && pools.dual();
     std::unique_ptr<telemetry::Session> session;
-    if (cfg.telemetry || want_governor) {
+    const bool metrics = cfg.obs != ObsLevel::kOff;
+    if (metrics || want_governor) {
       // The governor needs live engine metrics even when the user left
       // telemetry off; a metrics-only session (no PMU, no sampler) is the
       // cheapest way to get them.
       telemetry::SessionOptions so;
-      so.pmu = cfg.telemetry ? telemetry::parse_pmu_mode(cfg.pmu_mode)
-                             : telemetry::PmuMode::kOff;
-      so.sample_interval_us = cfg.telemetry ? cfg.sample_interval_us : 0;
+      so.pmu = metrics ? cfg.pmu_mode : PmuMode::kOff;
+      so.sample_interval_us = metrics ? cfg.sample_interval_us : 0;
       so.num_mappers = pools.num_mappers();
       so.num_combiners = pools.num_combiners();
       session = std::make_unique<telemetry::Session>(so);
@@ -354,7 +345,7 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
       gopts.interval = options.governor_interval;
       gopts.queue_capacity = mcfg.queue_capacity;
       gopts.sleep_cap_floor = std::max<std::size_t>(1, mcfg.sleep_micros);
-      gopts.tune_emit_batch = !cfg.env_overrides.emit_batch;
+      gopts.tune_emit_batch = !cfg.pinned[Knob::kEmitBatch];
       governor = std::make_unique<Governor>(
           control, policy != nullptr ? *policy : default_policy,
           session->registry(), gopts, governor_lane,
@@ -420,8 +411,8 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
 
   decision.plan = result.plan;
   decision.governor_actions = result.governor_actions.size();
-  if (!options.report_path.empty()) {
-    std::ofstream out(options.report_path, std::ios::trunc);
+  if (!cfg.adapt_report_path.empty()) {
+    std::ofstream out(cfg.adapt_report_path, std::ios::trunc);
     if (out) write_plan_report(out, key, decision);
   }
   return result;

@@ -31,8 +31,8 @@
 namespace ramr::apps {
 
 // Knobs for one streaming invocation. `io.mode` must not be kOff
-// (open_chunk_source throws ConfigError otherwise); IoConfig::from_env()
-// resolves the RAMR_IO* knobs.
+// (open_chunk_source throws ConfigError otherwise); the RAMR_IO* knobs
+// arrive as RuntimeConfig::from_env().io.
 struct StreamOptions {
   RuntimeConfig config;               // engine knobs (resolved by Runtime)
   io::IoConfig io;                    // mode, window, depth

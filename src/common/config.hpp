@@ -6,10 +6,20 @@
 // best on Haswell (20-500 on Xeon Phi); Sec. III: task size is tunable via
 // environment variables; Sec. III-B: the mapper:combiner ratio is application
 // dependent.
+//
+// Every RAMR_* knob is one row of the knob table in config.cpp: env name,
+// target field, value domain, plan flag and a one-line doc. The field
+// initializers below are the defaults; from_env(), the pinned record,
+// summary(), knob_settings() and the README knob table are all driven by
+// that one table.
 #pragma once
 
+#include <bitset>
 #include <cstddef>
 #include <string>
+#include <vector>
+
+#include "io/io_config.hpp"
 
 namespace ramr {
 
@@ -42,7 +52,6 @@ enum class BackoffKind {
   kExponential,  // sleep doubling from sleep_micros up to sleep_cap_micros
 };
 
-BackoffKind parse_backoff_kind(const std::string& name);
 std::string to_string(BackoffKind kind);
 
 // Adaptive-controller mode (src/adapt/): off = static knobs only (the
@@ -55,7 +64,6 @@ enum class AdaptMode {
   kFull,
 };
 
-AdaptMode parse_adapt_mode(const std::string& name);
 std::string to_string(AdaptMode mode);
 
 // Memory-subsystem mode (src/mem/): off = every allocation goes to the
@@ -69,65 +77,56 @@ enum class MemMode {
   kNuma,
 };
 
-MemMode parse_mem_mode(const std::string& name);
 std::string to_string(MemMode mode);
 
-// Env-knob names (all optional; see RuntimeConfig::from_env).
-inline constexpr const char* kEnvMappers = "RAMR_MAPPERS";
-inline constexpr const char* kEnvCombiners = "RAMR_COMBINERS";
-inline constexpr const char* kEnvRatio = "RAMR_RATIO";
-inline constexpr const char* kEnvTaskSize = "RAMR_TASK_SIZE";
-inline constexpr const char* kEnvQueueCapacity = "RAMR_QUEUE_CAPACITY";
-inline constexpr const char* kEnvBatchSize = "RAMR_BATCH_SIZE";
-inline constexpr const char* kEnvPinPolicy = "RAMR_PIN_POLICY";
-inline constexpr const char* kEnvSleepOnFull = "RAMR_SLEEP_ON_FULL";
-inline constexpr const char* kEnvSleepMicros = "RAMR_SLEEP_US";
-inline constexpr const char* kEnvSplitDistribution =
-    "RAMR_SPLIT_DISTRIBUTION";
-inline constexpr const char* kEnvPrecombine = "RAMR_PRECOMBINE";
-inline constexpr const char* kEnvBackoff = "RAMR_BACKOFF";
-inline constexpr const char* kEnvSleepCapMicros = "RAMR_SLEEP_CAP_US";
-inline constexpr const char* kEnvTaskRetries = "RAMR_TASK_RETRIES";
-inline constexpr const char* kEnvDeadlineMs = "RAMR_DEADLINE_MS";
-inline constexpr const char* kEnvStallMs = "RAMR_STALL_MS";
-inline constexpr const char* kEnvFaults = "RAMR_FAULTS";
-inline constexpr const char* kEnvTelemetry = "RAMR_TELEMETRY";
-inline constexpr const char* kEnvPmu = "RAMR_PMU";
-inline constexpr const char* kEnvSampleMicros = "RAMR_SAMPLE_US";
-inline constexpr const char* kEnvAdapt = "RAMR_ADAPT";
-inline constexpr const char* kEnvPlanCache = "RAMR_PLAN_CACHE";
-inline constexpr const char* kEnvAdaptReport = "RAMR_ADAPT_REPORT";
-inline constexpr const char* kEnvMem = "RAMR_MEM";
-inline constexpr const char* kEnvEmitBatch = "RAMR_EMIT_BATCH";
-inline constexpr const char* kEnvHugePages = "RAMR_HUGEPAGES";
-inline constexpr const char* kEnvService = "RAMR_SERVICE";
-inline constexpr const char* kEnvServiceJobs = "RAMR_SERVICE_JOBS";
-inline constexpr const char* kEnvServiceQueue = "RAMR_SERVICE_QUEUE";
-inline constexpr const char* kEnvServiceRetries = "RAMR_SERVICE_RETRIES";
-inline constexpr const char* kEnvHedgeFactor = "RAMR_HEDGE_FACTOR";
-inline constexpr const char* kEnvBreakerK = "RAMR_BREAKER_K";
-inline constexpr const char* kEnvShedWatermark = "RAMR_SHED_WATERMARK";
-inline constexpr const char* kEnvObs = "RAMR_OBS";
-inline constexpr const char* kEnvMetricsPath = "RAMR_METRICS_PATH";
-inline constexpr const char* kEnvFlightEvents = "RAMR_FLIGHT_EVENTS";
+// Observability level (RAMR_OBS). Each level includes the one below it:
+// metrics = the telemetry session (metric registry, PMU phase counters,
+// sampler, exporters); full = metrics plus the observability plane
+// (stitched service trace, flight recorder, metrics sampler, skew
+// profiler). Off = zero cost: the engine carries null pointers and each
+// instrumentation site is one check.
+enum class ObsLevel {
+  kOff,
+  kMetrics,
+  kFull,
+};
 
-// Which plan-relevant knobs were set explicitly via the environment.
-// from_env() fills this so the adaptive controller can honour the
-// precedence rule "explicit env > cache > probe > defaults": a knob the
-// user pinned is never overridden by a cached or probed plan.
-struct EnvOverrides {
-  bool workers = false;  // RAMR_MAPPERS and/or RAMR_COMBINERS
-  bool ratio = false;
-  bool batch_size = false;
-  bool queue_capacity = false;
-  bool pin_policy = false;
-  bool sleep_cap = false;
-  bool emit_batch = false;
+std::string to_string(ObsLevel level);
 
-  // True when any knob an execution plan would decide is pinned by env.
-  bool any_plan_knob() const {
-    return workers || ratio || batch_size || queue_capacity || pin_policy;
-  }
+// PMU backend mode (RAMR_PMU): auto = use hardware counters when available
+// (default), off = never open counters (forces the model fallback), on =
+// same as auto but the run report flags that hardware counting was
+// explicitly requested.
+enum class PmuMode { kAuto, kOn, kOff };
+
+std::string to_string(PmuMode mode);
+
+// One id per knob-table row, in table order (config.cpp checks the order).
+enum class Knob : std::size_t {
+  kMappers, kCombiners, kRatio, kTaskSize, kQueueCapacity, kBatchSize,
+  kPinPolicy, kSplitDistribution, kSleepMicros, kBackoff, kSleepCapMicros,
+  kPrecombine, kEmitBatch, kTaskRetries, kDeadlineMs, kStallMs, kFaults,
+  kMem, kHugePages, kIo, kIoWindow, kIoDepth, kObs, kPmu, kSampleMicros,
+  kMetricsPath, kFlightEvents, kAdapt, kPlanCache, kAdaptReport, kService,
+  kServiceJobs, kServiceQueue, kServiceRetries, kHedgeFactor, kBreakerK,
+  kShedWatermark, kCount
+};
+
+inline constexpr std::size_t kKnobCount =
+    static_cast<std::size_t>(Knob::kCount);
+
+// Which knobs from_env() read from the environment, one bit per table row.
+// The adaptive controller honours "explicit env > cache > probe > defaults":
+// a knob the user pinned is never overridden by a cached or probed plan.
+struct PinnedKnobs {
+  std::bitset<kKnobCount> rows;
+
+  bool operator[](Knob k) const { return rows[static_cast<std::size_t>(k)]; }
+  void set(Knob k) { rows.set(static_cast<std::size_t>(k)); }
+
+  // True when any pinned row carries the plan flag (a knob an execution
+  // plan would decide).
+  bool any_plan_knob() const;
 };
 
 struct RuntimeConfig {
@@ -158,10 +157,14 @@ struct RuntimeConfig {
   // the task queues — one for each locality group").
   SplitDistribution split_distribution = SplitDistribution::kRoundRobin;
 
-  // Sleep-on-failed-push (Sec. III-A). When false, mappers busy-wait on a
-  // full queue.
-  bool sleep_on_full = true;
+  // Producer sleep period on a failed push (Sec. III-A).
   std::size_t sleep_micros = 50;
+
+  // Backoff policy on a full queue: kBusyWait is the paper's busy-wait
+  // alternative to sleeping. The exponential ladder starts at sleep_micros
+  // and doubles per consecutive sleep, capped at sleep_cap_micros.
+  BackoffKind backoff = BackoffKind::kSleep;
+  std::size_t sleep_cap_micros = 1000;
 
   // Mapper-side pre-combining buffer, in slots (0 = off, the paper's
   // published behaviour). Coalesces same-key emissions before they enter
@@ -175,13 +178,6 @@ struct RuntimeConfig {
   // flushes on full, at task boundaries, and before close/cancel. The
   // steady-state governor may retune it when not pinned via env.
   std::size_t emit_batch = 0;
-
-  // Backoff policy (applies when sleep_on_full is true; sleep_on_full=false
-  // forces kBusyWait in resolved() for backwards compatibility). The
-  // exponential ladder starts at sleep_micros and doubles per consecutive
-  // sleep, capped at sleep_cap_micros.
-  BackoffKind backoff = BackoffKind::kSleep;
-  std::size_t sleep_cap_micros = 1000;
 
   // ---- robustness knobs (see src/faults/, engine/health.hpp) -------------
 
@@ -204,111 +200,77 @@ struct RuntimeConfig {
   // zero-cost). Test/chaos-only knob.
   std::string fault_spec;
 
+  // ---- memory-subsystem knobs (see src/mem/, docs/ARCHITECTURE.md §11) ---
+
+  // Off keeps every allocation on the default heap; arena/numa build a
+  // mem::MemoryLayer in the PoolSet (placed arenas + huge-page ring
+  // storage; numa adds node-local binding and consumer-side first touch).
+  MemMode mem_mode = MemMode::kOff;
+
+  // Whether the memory layer may advise MADV_HUGEPAGE on its blocks
+  // (false forces the small-page fallback: fallback testing / operator
+  // escape hatch).
+  bool hugepages = true;
+
+  // ---- streaming input (see src/io/, docs/ARCHITECTURE.md §15) -----------
+
+  // Source mode, window size and in-flight window budget of streamed runs.
+  io::IoConfig io;
+
   // ---- observability knobs (see src/telemetry/, docs/OBSERVABILITY.md) ---
 
-  // Master switch for the telemetry subsystem (metric registry, PMU phase
-  // counters, sampler, exporters). Off = zero cost: the engine carries a
-  // null session pointer and each instrumentation site is one check.
-  bool telemetry = false;
+  ObsLevel obs = ObsLevel::kOff;
 
-  // PMU backend mode, validated by telemetry::parse_pmu_mode at session
-  // creation: "auto" (hardware counters when available, analytic model
-  // otherwise), "on" (same, but explicitly requested), "off" (always model).
-  std::string pmu_mode = "auto";
+  PmuMode pmu_mode = PmuMode::kAuto;
 
   // Sampler cadence in microseconds (0 = no sampler thread). Snapshots ring
   // occupancy and worker heartbeats into time-series during runs.
   std::size_t sample_interval_us = 0;
 
+  // Periodic ramr-metrics-v1 snapshot path ("" = none) and flight-recorder
+  // capacity of the obs=full service plane (Scheduler::Options).
+  std::string metrics_path;
+  std::size_t flight_events = 256;
+
   // ---- adaptive-controller knobs (see src/adapt/, docs/TUNING.md) --------
 
-  // RAMR_ADAPT=off|probe|full. Off keeps every existing code path
-  // byte-identical; probe/full route core::Runtime::run through the
-  // adapt::Controller.
+  // Off keeps every existing code path; probe/full route
+  // core::Runtime::run through the adapt::Controller.
   AdaptMode adapt_mode = AdaptMode::kOff;
 
-  // Plan-cache file (RAMR_PLAN_CACHE). Empty = the default location,
+  // Plan-cache file. Empty = the default location,
   // $XDG_CACHE_HOME/ramr/plans.json or ~/.cache/ramr/plans.json.
   std::string plan_cache_path;
 
-  // ---- memory-subsystem knobs (see src/mem/, docs/ARCHITECTURE.md §11) ---
+  // Where the controller writes its ramr-adapt-plan-v1 decision JSON
+  // (empty = no report unless ControllerOptions names one).
+  std::string adapt_report_path;
 
-  // RAMR_MEM=off|arena|numa. Off keeps every allocation on the default
-  // heap, byte-identical behaviour; arena/numa build a mem::MemoryLayer in
-  // the PoolSet (placed arenas + huge-page ring storage; numa adds
-  // node-local binding and consumer-side first touch). RAMR_HUGEPAGES=0
-  // additionally forces the huge-page advice off (fallback testing /
-  // operator escape hatch); it is read by mem::hugepages_enabled, not
-  // stored here.
-  MemMode mem_mode = MemMode::kOff;
+  // ---- service mode (see src/service/, ARCHITECTURE.md §12-13) -----------
 
-  // ---- service-mode knobs (see src/service/, ARCHITECTURE.md §12) --------
-
-  // RAMR_SERVICE=1 keeps resolved pool sets resident in the process-wide
+  // Keeps resolved pool sets resident in the process-wide
   // engine::PoolDepot, so consecutive Runtime instances (and run_once
   // calls) of the same shape lease warm pools — threads, pins, and arenas
-  // survive across invocations — instead of re-spawning them. Off keeps
-  // per-Runtime pools and byte-identical behaviour.
+  // survive across invocations — instead of re-spawning them.
   bool service_mode = false;
 
-  // service::Scheduler admission knobs (Scheduler::Options::from_env reads
-  // them): the concurrent-job cap (0 = one job per socket) and the bound on
-  // jobs waiting in the queue — a submit beyond it is rejected, not queued.
+  // service::Scheduler admission and resilience knobs, copied by
+  // Scheduler::Options::from_env (Options documents each; 0 = off for the
+  // retry budget, hedge factor, breaker and shed watermark).
   std::size_t service_max_jobs = 0;
   std::size_t service_queue_depth = 16;
-
-  // ---- service resilience knobs (see ARCHITECTURE.md §13) ----------------
-  // All default off: the scheduler behaves exactly as before (one attempt
-  // per job, no hedges, no breaker, no shedding) and default output is
-  // byte-identical.
-
-  // Job-level retry budget: a failed job re-enters admission (original
-  // arrival order, exponential backoff + deterministic jitter) up to this
-  // many times. A JobSpec can override it per job.
   std::size_t service_max_retries = 0;
-
-  // Hedged execution: a running job whose elapsed time exceeds this factor
-  // times its app's EWMA runtime gets a duplicate launched on spare cores;
-  // the first finisher wins, the loser is cancelled. 0 = off.
   double service_hedge_factor = 0.0;
-
-  // Per-app circuit breaker: after this many *consecutive* job failures of
-  // one app, submissions for it fast-fail until the breaker half-opens on a
-  // timer and a trial job closes it again. 0 = off.
   std::size_t service_breaker_k = 0;
-
-  // Overload shedding: when the total queued admission cost exceeds this
-  // high watermark, the scheduler sheds lowest-priority queued jobs
-  // (JobStatus::kShed) until the cost falls to the low watermark
-  // (watermark / 2). 0 = off (only the queue-depth bound applies).
   std::size_t service_shed_watermark = 0;
 
-  // ---- service observability knobs (docs/OBSERVABILITY.md) ---------------
-  // All default off: with RAMR_OBS unset the scheduler records nothing, the
-  // engine's skew-profiler sites are one pointer check, and default output
-  // is byte-identical.
-
-  // RAMR_OBS=1 arms the observability plane: job lifecycle tracing into a
-  // telemetry::ServiceTrace (stitched Chrome/Perfetto trace), the flight
-  // recorder, the low-cadence service metrics sampler, and the per-run
-  // straggler/skew profiler (imbalance scores + sampled hot keys in
-  // RunResult::skew).
-  bool observability = false;
-
-  // RAMR_METRICS_PATH: when set (and RAMR_OBS=1), the scheduler's sampler
-  // periodically rewrites a ramr-metrics-v1 JSON snapshot at this path.
-  // Empty = no periodic file; Scheduler::metrics_text() still works.
-  std::string metrics_path;
-
-  // RAMR_FLIGHT_EVENTS: capacity of the flight recorder's bounded ring of
-  // recent lifecycle events (older events are dropped, counted).
-  std::size_t flight_events = 256;
-
-  // Filled by from_env(); defaults mean "nothing pinned".
-  EnvOverrides env_overrides;
+  // Filled by from_env(); empty means "nothing pinned". Fixed size: configs
+  // are copied per job in service mode.
+  PinnedKnobs pinned;
 
   // Build a config taking every RAMR_* env knob into account, starting from
-  // the given base (defaults if omitted). Throws ConfigError on bad values.
+  // the given base (defaults if omitted). Throws ConfigError naming the
+  // variable on a bad or out-of-range value, and on a retired knob name.
   static RuntimeConfig from_env(RuntimeConfig base);
   static RuntimeConfig from_env() { return from_env(RuntimeConfig{}); }
 
@@ -318,8 +280,52 @@ struct RuntimeConfig {
   // larger than queue capacity). Throws ConfigError on impossible requests.
   RuntimeConfig resolved(std::size_t hardware_threads) const;
 
-  // Human-readable one-line summary (for bench logs).
+  // One line for logs: "key=value" for every knob that differs from its
+  // default ("defaults" when none does). Keys are the env names without
+  // the RAMR_ prefix, lower-cased; values are spelled as the env accepts
+  // them.
   std::string summary() const;
 };
+
+// ---- the knob table, for reports, docs and tests ----------------------------
+
+enum class KnobKind {
+  kUint,    // unsigned integer in [lo, hi]
+  kReal,    // finite number: 0 (off) or in [lo, hi]
+  kFlag,    // on|off (also 1|0, true|false, yes|no)
+  kText,    // free text (a path or a spec)
+  kChoice,  // one of `choices` (or one of their aliases)
+};
+
+struct KnobInfo {
+  Knob id = Knob::kCount;
+  const char* env = "";  // "RAMR_MAPPERS"
+  std::string key;       // "mappers": the summary() key
+  bool plan = false;     // an execution plan may decide it unless pinned
+  const char* doc = "";
+  KnobKind kind = KnobKind::kText;
+  double lo = 0.0;    // kUint / kReal bounds
+  double hi = 0.0;
+  std::vector<std::string> choices;  // kChoice canonical names
+  std::string default_value;         // the RuntimeConfig{} value, printed
+};
+
+// Every row, in table order.
+const std::vector<KnobInfo>& knob_table();
+
+// One knob of a run's effective config: its value (as the env spells it)
+// and where it came from: "env" (pinned), the plan source ("cache",
+// "probe", "degraded") for a plan knob the controller or scheduler
+// decided, "config" (set in code), or "default".
+struct KnobSetting {
+  const char* env;
+  std::string value;
+  std::string source;
+};
+
+// Every row's setting in `cfg`. `plan_source` is PlanInfo::source of the
+// run (empty when none).
+std::vector<KnobSetting> knob_settings(const RuntimeConfig& cfg,
+                                       const std::string& plan_source = "");
 
 }  // namespace ramr

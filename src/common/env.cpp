@@ -1,8 +1,8 @@
 #include "common/env.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -26,61 +26,52 @@ std::optional<std::string> get(const std::string& name) {
   return std::string(raw);
 }
 
-std::int64_t get_int(const std::string& name, std::int64_t fallback) {
-  auto raw = get(name);
-  if (!raw) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(raw->c_str(), &end, 10);
-  if (errno == ERANGE || end == raw->c_str() || *end != '\0') {
-    throw ConfigError("env knob " + name + "='" + *raw +
-                      "' is not a valid integer");
-  }
-  return static_cast<std::int64_t>(value);
-}
-
 std::uint64_t get_uint(const std::string& name, std::uint64_t fallback) {
   auto raw = get(name);
-  if (!raw) return fallback;
-  if (!raw->empty() && (*raw)[0] == '-') {
-    throw ConfigError("env knob " + name + "='" + *raw +
+  return raw ? parse_uint(name, *raw) : fallback;
+}
+
+bool get_bool(const std::string& name, bool fallback) {
+  auto raw = get(name);
+  return raw ? parse_bool(name, *raw) : fallback;
+}
+
+std::uint64_t parse_uint(const std::string& name, const std::string& raw) {
+  // strtoull skips leading whitespace and then negates a '-': " -1" would
+  // parse as 2^64 - 1.
+  const std::size_t first = raw.find_first_not_of(" \t\n\v\f\r");
+  if (first != std::string::npos && raw[first] == '-') {
+    throw ConfigError("env knob " + name + "='" + raw +
                       "' must be non-negative");
   }
   errno = 0;
   char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw->c_str(), &end, 10);
-  if (errno == ERANGE || end == raw->c_str() || *end != '\0') {
-    throw ConfigError("env knob " + name + "='" + *raw +
+  const unsigned long long value = std::strtoull(raw.c_str(), &end, 10);
+  if (errno == ERANGE || end == raw.c_str() || *end != '\0') {
+    throw ConfigError("env knob " + name + "='" + raw +
                       "' is not a valid unsigned integer");
   }
   return static_cast<std::uint64_t>(value);
 }
 
-double get_double(const std::string& name, double fallback) {
-  auto raw = get(name);
-  if (!raw) return fallback;
+double parse_double(const std::string& name, const std::string& raw) {
   errno = 0;
   char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (errno == ERANGE || end == raw->c_str() || *end != '\0') {
-    throw ConfigError("env knob " + name + "='" + *raw +
-                      "' is not a valid number");
+  const double value = std::strtod(raw.c_str(), &end);
+  if (errno == ERANGE || end == raw.c_str() || *end != '\0' ||
+      !std::isfinite(value)) {
+    throw ConfigError("env knob " + name + "='" + raw +
+                      "' is not a valid finite number");
   }
   return value;
 }
 
-bool get_bool(const std::string& name, bool fallback) {
-  auto raw = get(name);
-  if (!raw) return fallback;
-  const std::string v = to_lower(*raw);
+bool parse_bool(const std::string& name, const std::string& raw) {
+  const std::string v = to_lower(raw);
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw ConfigError("env knob " + name + "='" + *raw +
+  throw ConfigError("env knob " + name + "='" + raw +
                     "' is not a valid boolean");
-}
-
-std::string get_string(const std::string& name, const std::string& fallback) {
-  return get(name).value_or(fallback);
 }
 
 ScopedOverride::ScopedOverride(const std::string& name,

@@ -15,13 +15,17 @@ namespace ramr::env {
 std::optional<std::string> get(const std::string& name);
 
 // Parsed lookups. Throw ramr::ConfigError when the variable is set but does
-// not parse or is out of the representable range; return `fallback` when the
-// variable is unset.
-std::int64_t get_int(const std::string& name, std::int64_t fallback);
+// not parse or is out of the representable range; return `fallback` when
+// the variable is unset.
 std::uint64_t get_uint(const std::string& name, std::uint64_t fallback);
-double get_double(const std::string& name, double fallback);
 bool get_bool(const std::string& name, bool fallback);
-std::string get_string(const std::string& name, const std::string& fallback);
+
+// The parsers behind the lookups and the knob table: `raw` is the value of
+// variable `name`, which every error message names. parse_double rejects
+// non-finite values.
+std::uint64_t parse_uint(const std::string& name, const std::string& raw);
+double parse_double(const std::string& name, const std::string& raw);
+bool parse_bool(const std::string& name, const std::string& raw);
 
 // Scoped override for tests: sets `name=value` on construction and restores
 // the previous state on destruction. Not thread-safe (setenv never is).

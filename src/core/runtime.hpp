@@ -78,7 +78,7 @@ class Runtime {
   }
 
   // The telemetry session created from the config's observability knobs
-  // (RAMR_TELEMETRY et al.); nullptr when telemetry is off. Exporters read
+  // (RAMR_OBS=metrics or full); nullptr when it is off. Exporters read
   // phase counters / metrics / series from it after run() (see
   // telemetry/export.hpp).
   telemetry::Session* telemetry() { return telemetry_.get(); }

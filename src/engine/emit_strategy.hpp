@@ -104,7 +104,7 @@ struct MapCombineContext {
   // then uses the static config values). Combiners re-read the batch size
   // per sweep; producer backoffs bind the sleep-cap cell.
   TuningControl* tuning = nullptr;
-  // Straggler/skew profiler, null unless RAMR_OBS=1 (one pointer check on
+  // Straggler/skew profiler, null unless RAMR_OBS=full (one pointer check on
   // the emit and task paths when off).
   SkewProfiler* skew = nullptr;
 
@@ -126,7 +126,7 @@ struct TaskLoopControl {
   RetryState& retry;
   std::size_t worker;
   telemetry::EngineMetrics* metrics;  // null when telemetry is off
-  SkewProfiler* skew;                 // null unless RAMR_OBS=1
+  SkewProfiler* skew;                 // null unless RAMR_OBS=full
 
   static TaskLoopControl create(MapCombineContext& ctx, std::size_t worker) {
     return TaskLoopControl{ctx.queues,

@@ -91,7 +91,7 @@ inline DriverOptions driver_options_from(const RuntimeConfig& cfg) {
   return DriverOptions{cfg.task_size,        cfg.split_distribution,
                        cfg.max_task_retries, cfg.deadline_ms,
                        cfg.stall_timeout_ms, cfg.fault_spec,
-                       cfg.env_overrides.any_plan_knob() ? "env" : "default"};
+                       cfg.pinned.any_plan_knob() ? "env" : "default"};
 }
 
 // Streaming-run plumbing (PhaseDriver::run_stream): everything an IO-lane
@@ -336,10 +336,10 @@ class PhaseDriver {
 
     // ---- map-combine (one timed phase, strategy-defined coupling) -------
     phase_begin(Phase::kMapCombine);
-    // Skew profiler only under RAMR_OBS=1; the null pointer in the context
-    // keeps the emit/task hot paths at one check when off.
+    // Skew profiler only under RAMR_OBS=full; the null pointer in the
+    // context keeps the emit/task hot paths at one check when off.
     std::optional<SkewProfiler> skew;
-    if (pools_.config().observability) {
+    if (pools_.config().obs == ObsLevel::kFull) {
       skew.emplace(pools_.num_mappers(), pools_.num_combiners());
     }
     MapCombineContext ctx{pools_,    queues,  lanes,

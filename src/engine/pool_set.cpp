@@ -60,7 +60,8 @@ std::string PoolSet::shape_key(const topo::Topology& topology,
          "|dual|m=" + std::to_string(resolved.num_mappers) +
          "|c=" + std::to_string(resolved.num_combiners) +
          "|pin=" + to_string(resolved.pin_policy) +
-         "|mem=" + to_string(resolved.mem_mode);
+         "|mem=" + to_string(resolved.mem_mode) +
+         (resolved.hugepages ? "" : "|nohuge");
 }
 
 std::string PoolSet::shape_key_single(const topo::Topology& topology,
@@ -108,7 +109,8 @@ PoolSet::PoolSet(topo::Topology topology, const RuntimeConfig& config)
   // RAMR_MEM: the memory layer lives with the pools because placement is a
   // property of (plan, topology) — the strategies reach it via memory().
   if (cfg_.mem_mode != MemMode::kOff) {
-    memory_ = std::make_unique<mem::MemoryLayer>(cfg_.mem_mode, topo_, plan_);
+    memory_ = std::make_unique<mem::MemoryLayer>(cfg_.mem_mode, topo_, plan_,
+                                                 cfg_.hugepages);
   }
 }
 

@@ -126,7 +126,7 @@ struct DispatchStats {
   }
 };
 
-// Straggler/skew profile of one run (RAMR_OBS=1; see
+// Straggler/skew profile of one run (RAMR_OBS=full; see
 // src/engine/skew_profiler.hpp). enabled is false — and summary() / the
 // run report print nothing — unless the profiler ran, keeping default
 // output byte-identical.
@@ -214,7 +214,7 @@ struct RunResult {
   // runs; consumers read it from the report's "memory" object.
   std::size_t peak_rss_bytes = 0;
 
-  // Straggler/skew profile; enabled only under RAMR_OBS=1.
+  // Straggler/skew profile; enabled only under RAMR_OBS=full.
   SkewStats skew;
 
   // Hot-path dispatch provenance (SIMD kernel path).
@@ -262,7 +262,7 @@ struct RunResult {
     // Memory stats only when RAMR_MEM was on; the default line stays
     // byte-stable.
     if (mem.enabled()) s += " " + mem.summary();
-    // Skew profile only under RAMR_OBS=1.
+    // Skew profile only under RAMR_OBS=full.
     if (skew.enabled) s += " " + skew.summary();
     s += " " + dispatch.summary();
     return s;

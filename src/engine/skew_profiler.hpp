@@ -1,4 +1,4 @@
-// Straggler/skew profiler (RAMR_OBS=1): answers "which worker is the
+// Straggler/skew profiler (RAMR_OBS=full): answers "which worker is the
 // straggler and which key caused it" for one run.
 //
 // Three signals, all cheap enough to leave on for a whole service:

@@ -434,7 +434,7 @@ class PipelinedSpsc {
       result.queue_max_occupancy = std::max(
           result.queue_max_occupancy, ring->consumer_stats().max_occupancy);
     }
-    // Skew profiler (RAMR_OBS=1): attribute each ring's end-of-run stats
+    // Skew profiler (RAMR_OBS=full): attribute each ring's end-of-run stats
     // to the combiner that drained it. Pools are joined — single-threaded
     // reads, zero hot-path cost.
     if (ctx.skew != nullptr) {

@@ -26,8 +26,8 @@ namespace {
 [[noreturn]] void throw_record_too_big(std::size_t window_bytes) {
   throw ConfigError(
       "streaming window of " + std::to_string(window_bytes) +
-      " bytes (" + std::string(kEnvIoWindow) +
-      ") is smaller than one input record; raise " + kEnvIoWindow);
+      " bytes (RAMR_IO_WINDOW) is smaller than one input record; raise "
+      "RAMR_IO_WINDOW");
 }
 
 // Index one past the last record break in [data, data+size); 0 when the

@@ -1,4 +1,5 @@
-// Streaming-input configuration: the RAMR_IO* env knobs (src/io/).
+// Streaming-input configuration: the RAMR_IO* knobs (src/io/), carried in
+// RuntimeConfig::io and read by RuntimeConfig::from_env.
 //
 // RAMR_IO selects the source machinery:
 //
@@ -25,15 +26,8 @@ namespace ramr::io {
 
 enum class IoMode { kOff, kMmap, kDirect };
 
-const char* to_string(IoMode mode);
-
-// "off"/"0"/"no" -> kOff, "mmap" -> kMmap, "direct" -> kDirect; anything
-// else is a ConfigError naming RAMR_IO (the RAMR_ADAPT/RAMR_MEM precedent).
-IoMode parse_io_mode(const std::string& value);
-
-inline constexpr const char* kEnvIo = "RAMR_IO";
-inline constexpr const char* kEnvIoWindow = "RAMR_IO_WINDOW";
-inline constexpr const char* kEnvIoDepth = "RAMR_IO_DEPTH";
+// Defined with the other knob spellings in common/config.cpp.
+std::string to_string(IoMode mode);
 
 struct IoConfig {
   IoMode mode = IoMode::kOff;
@@ -41,16 +35,6 @@ struct IoConfig {
   std::size_t depth = 3;                       // RAMR_IO_DEPTH (windows)
 
   bool enabled() const { return mode != IoMode::kOff; }
-
-  // Reads RAMR_IO / RAMR_IO_WINDOW / RAMR_IO_DEPTH over `base`. Strict:
-  // unknown modes and out-of-range values (window outside [64 KiB, 1 GiB],
-  // depth outside [2, 64]) are ConfigErrors naming the variable, matching
-  // the RAMR_RATIO / RAMR_FAULTS fail-fast convention.
-  static IoConfig from_env();
-  static IoConfig from_env(IoConfig base);
-
-  // "io=mmap window=8388608 depth=3" (for logs).
-  std::string summary() const;
 };
 
 }  // namespace ramr::io

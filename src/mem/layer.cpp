@@ -30,20 +30,18 @@ std::vector<int> nodes_from(const topo::Topology& topo,
 }  // namespace
 
 MemoryLayer::MemoryLayer(MemMode mode, const topo::Topology& topo,
-                         const topo::PinningPlan& plan)
-    : mode_(mode), num_mappers_(plan.num_mappers()) {
+                         const topo::PinningPlan& plan, bool hugepages)
+    : mode_(mode), hugepages_(hugepages), num_mappers_(plan.num_mappers()) {
   const bool placed = placement();
   mapper_node_ = nodes_from(topo, plan.mapper_cpu, plan.num_mappers(), placed);
   combiner_node_ =
       nodes_from(topo, plan.combiner_cpu, plan.num_combiners(), placed);
   arenas_.reserve(plan.num_mappers() + plan.num_combiners());
   for (std::size_t m = 0; m < plan.num_mappers(); ++m) {
-    arenas_.emplace_back(kArenaChunkBytes, mapper_node_[m],
-                         /*want_huge=*/true);
+    arenas_.emplace_back(kArenaChunkBytes, mapper_node_[m], hugepages_);
   }
   for (std::size_t j = 0; j < plan.num_combiners(); ++j) {
-    arenas_.emplace_back(kArenaChunkBytes, combiner_node_[j],
-                         /*want_huge=*/true);
+    arenas_.emplace_back(kArenaChunkBytes, combiner_node_[j], hugepages_);
   }
 }
 
@@ -93,7 +91,7 @@ void* MemoryLayer::ring_alloc(std::size_t bytes, std::size_t align,
       }
     }
   }
-  PageBuffer buffer(bytes, align, want_node, /*want_huge=*/true);
+  PageBuffer buffer(bytes, align, want_node, hugepages_);
   void* data = buffer.data();
   std::lock_guard lock(ring_mutex_);
   ring_bytes_ += bytes;

@@ -51,9 +51,10 @@ class MemoryLayer {
  public:
   // The plan decides worker->node assignments (numa mode only; arena mode
   // never binds). Arenas are created eagerly but allocate lazily, so the
-  // owner thread's first allocation first-touches the chunk.
+  // owner thread's first allocation first-touches the chunk. `hugepages`
+  // (RuntimeConfig::hugepages) lets arenas and rings ask for huge pages.
   MemoryLayer(MemMode mode, const topo::Topology& topo,
-              const topo::PinningPlan& plan);
+              const topo::PinningPlan& plan, bool hugepages = true);
 
   MemoryLayer(const MemoryLayer&) = delete;
   MemoryLayer& operator=(const MemoryLayer&) = delete;
@@ -104,6 +105,7 @@ class MemoryLayer {
   static void storage_free(void* data, std::size_t bytes, void* ctx);
 
   MemMode mode_;
+  bool hugepages_;
   std::size_t num_mappers_;
   std::vector<int> mapper_node_;
   std::vector<int> combiner_node_;

@@ -4,9 +4,6 @@
 #include <new>
 #include <utility>
 
-#include "common/config.hpp"
-#include "common/env.hpp"
-
 #if defined(__linux__)
 #include <sys/mman.h>
 #include <sys/syscall.h>
@@ -27,6 +24,11 @@ namespace {
 constexpr int kMpolPreferred = 1;
 
 bool mbind_block(void* addr, std::size_t len, int node) {
+  // The mask is one word: a node id beyond it cannot be bound (and the
+  // shift below would be undefined).
+  if (node < 0 || node >= static_cast<int>(sizeof(unsigned long) * 8)) {
+    return false;
+  }
   const unsigned long nodemask = 1UL << static_cast<unsigned>(node);
   return syscall(SYS_mbind, addr, len, kMpolPreferred, &nodemask,
                  sizeof(nodemask) * 8, 0UL) == 0;
@@ -77,10 +79,6 @@ const PageCaps& page_caps() {
   return caps;
 }
 
-bool hugepages_enabled() {
-  return page_caps().hugepage_ok && env::get_bool(kEnvHugePages, true);
-}
-
 PageBuffer::PageBuffer(std::size_t bytes, std::size_t align, int node,
                        bool want_huge) {
   if (bytes == 0) return;
@@ -97,7 +95,7 @@ PageBuffer::PageBuffer(std::size_t bytes, std::size_t align, int node,
       mapped_ = true;
       mapped_bytes_ = len;
 #if defined(MADV_HUGEPAGE)
-      if (want_huge && hugepages_enabled()) {
+      if (want_huge && page_caps().hugepage_ok) {
         huge_ = ::madvise(p, len, MADV_HUGEPAGE) == 0;
       }
 #else

@@ -13,8 +13,8 @@
 //   * no mbind (no NUMA, seccomp, …)  -> first-touch placement only.
 //
 // Absence of any of these is NEVER an error — the block is still usable,
-// just less ideally placed. RAMR_HUGEPAGES=0 forces the huge-page advice
-// off (used by the forced-fallback tests and as an operator escape hatch).
+// just less ideally placed. RuntimeConfig::hugepages (RAMR_HUGEPAGES=off)
+// withholds the huge-page advice: the MemoryLayer then never asks for it.
 #pragma once
 
 #include <cstddef>
@@ -29,11 +29,6 @@ struct PageCaps {
 };
 
 const PageCaps& page_caps();
-
-// Whether huge-page advice is currently requested: the probed capability
-// gated by the RAMR_HUGEPAGES env knob (default on). Read per allocation so
-// a test can force the fallback path with a scoped override.
-bool hugepages_enabled();
 
 std::size_t page_size();
 

@@ -102,16 +102,10 @@ Scheduler::Scheduler(topo::Topology topology, Options options)
     obs_->metrics_path = opts_.metrics_path;
     obs_->postmortem_path = opts_.postmortem_path;
     obs_->interval_ms = std::max<std::size_t>(1, opts_.metrics_interval_ms);
-    std::ostringstream cfg;
-    cfg << "service topo=" << topo_.name() << " cores=" << cores_.total()
-        << " max_jobs=" << max_jobs_ << " queue_depth=" << opts_.queue_depth
-        << " retries=" << opts_.max_retries
-        << " breaker_k=" << opts_.breaker_k
-        << " hedge_factor=" << opts_.hedge_factor
-        << " shed_watermark=" << opts_.shed_watermark
-        << " flight_events=" << opts_.flight_events;
-    if (!opts_.fault_spec.empty()) cfg << " faults=" << opts_.fault_spec;
-    obs_->flight.set_config(cfg.str());
+    obs_->flight.set_config("service topo=" + topo_.name() +
+                                " cores=" + std::to_string(cores_.total()) +
+                                " max_jobs=" + std::to_string(max_jobs_),
+                            knob_settings(opts_.knobs()));
     obs_->sampler = std::thread(&Scheduler::obs_loop, this);
   }
   dispatcher_ = std::thread(&Scheduler::dispatch_loop, this);
@@ -283,7 +277,7 @@ std::string Scheduler::metrics_json() const {
 
 void Scheduler::write_trace(std::ostream& out) const {
   if (obs_ == nullptr) {
-    throw Error("service: observability is off (set RAMR_OBS=1)");
+    throw Error("service: observability is off (set RAMR_OBS=full)");
   }
   obs_->trace.write_chrome(out);
 }

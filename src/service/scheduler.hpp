@@ -181,7 +181,7 @@ class JobContext {
     std::unique_ptr<telemetry::Session> session =
         telemetry::Session::from_config(lease.pools().config());
     driver.set_telemetry(session.get());
-    // Observability (RAMR_OBS=1): a per-attempt recorder whose lanes land
+    // Observability (RAMR_OBS=full): a per-attempt recorder whose lanes land
     // under this job's process in the stitched service trace, added on
     // every exit path — an aborted run's partial lanes are exactly what a
     // post-mortem wants to see.
@@ -283,7 +283,7 @@ class Scheduler {
 
     // ---- observability knobs (default off; docs/OBSERVABILITY.md) --------
 
-    // Master switch (RAMR_OBS): lifecycle tracing into the stitched
+    // Master switch (RAMR_OBS=full): lifecycle tracing into the stitched
     // service trace, the flight recorder, the metrics sampler thread, and
     // post-mortem dumps. Off = none of it exists and the scheduler's
     // behaviour and output are byte-identical.
@@ -302,6 +302,10 @@ class Scheduler {
     // Post-mortem dump target for the flight recorder ("" = no dumps).
     std::string postmortem_path = "ramr_postmortem.json";
 
+    // Which of the knobs above the environment pinned (from_env fills it);
+    // the flight recorder reports their source from it.
+    PinnedKnobs pinned;
+
     // Reads RAMR_SERVICE_JOBS / RAMR_SERVICE_QUEUE plus the resilience
     // knobs RAMR_SERVICE_RETRIES / RAMR_HEDGE_FACTOR / RAMR_BREAKER_K /
     // RAMR_SHED_WATERMARK, RAMR_FAULTS, and the observability knobs
@@ -309,6 +313,7 @@ class Scheduler {
     static Options from_env() {
       const RuntimeConfig cfg = RuntimeConfig::from_env();
       Options o;
+      o.pinned = cfg.pinned;
       o.max_concurrent_jobs = cfg.service_max_jobs;
       o.queue_depth = cfg.service_queue_depth;
       o.max_retries = cfg.service_max_retries;
@@ -316,10 +321,28 @@ class Scheduler {
       o.breaker_k = cfg.service_breaker_k;
       o.shed_watermark = cfg.service_shed_watermark;
       o.fault_spec = cfg.fault_spec;
-      o.observability = cfg.observability;
+      o.observability = cfg.obs == ObsLevel::kFull;
       o.metrics_path = cfg.metrics_path;
       o.flight_events = cfg.flight_events;
       return o;
+    }
+
+    // The inverse of from_env: these options as the RuntimeConfig knobs
+    // they mirror (every other knob at its default).
+    RuntimeConfig knobs() const {
+      RuntimeConfig cfg;
+      cfg.service_max_jobs = max_concurrent_jobs;
+      cfg.service_queue_depth = queue_depth;
+      cfg.service_max_retries = max_retries;
+      cfg.service_hedge_factor = hedge_factor;
+      cfg.service_breaker_k = breaker_k;
+      cfg.service_shed_watermark = shed_watermark;
+      cfg.fault_spec = fault_spec;
+      cfg.obs = observability ? ObsLevel::kFull : ObsLevel::kOff;
+      cfg.metrics_path = metrics_path;
+      cfg.flight_events = flight_events;
+      cfg.pinned = pinned;
+      return cfg;
     }
   };
 

@@ -137,6 +137,25 @@ void chrome_trace_json(std::ostream& out, const std::vector<LaneView>& lanes,
   out << "\n";
 }
 
+std::vector<KnobSetting> effective_config(RuntimeConfig cfg,
+                                          const engine::PlanInfo& plan) {
+  if (plan.decided() && plan.source != "env") {
+    if (!cfg.pinned[Knob::kRatio] && plan.ratio > 0) {
+      cfg.mapper_combiner_ratio = plan.ratio;
+    }
+    if (!cfg.pinned[Knob::kBatchSize] && plan.batch_size > 0) {
+      cfg.batch_size = plan.batch_size;
+    }
+    if (!cfg.pinned[Knob::kQueueCapacity] && plan.queue_capacity > 0) {
+      cfg.queue_capacity = plan.queue_capacity;
+    }
+    if (!cfg.pinned[Knob::kPinPolicy] && !plan.pin_policy.empty()) {
+      cfg.pin_policy = parse_pin_policy(plan.pin_policy);
+    }
+  }
+  return knob_settings(cfg, plan.source);
+}
+
 void fill_from_session(RunReport& report, const Session& session) {
   report.pmu_mode = to_string(session.pmu_mode());
   report.pmu_available = pmu_probe().available;
@@ -173,7 +192,7 @@ void run_report_json(std::ostream& out, const RunReport& report) {
   w.field("schema", "ramr-run-report-v1");
   w.field("app", report.app);
   w.field("runtime", report.runtime);
-  w.field("config", report.config_summary);
+  write_effective_config(w, report.effective_config);
 
   w.begin_object("pmu");
   w.field("mode", report.pmu_mode);
@@ -277,7 +296,7 @@ void run_report_json(std::ostream& out, const RunReport& report) {
     w.field("carry_bytes", io.carry_bytes);
     w.end_object();
   }
-  // Skew profile (RAMR_OBS=1); omitted when the profiler was off so
+  // Skew profile (RAMR_OBS=full); omitted when the profiler was off so
   // default reports are unchanged.
   if (report.result.skew.enabled) {
     const engine::SkewStats& skew = report.result.skew;

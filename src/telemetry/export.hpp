@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
 #include "engine/result.hpp"
 #include "perf/counters.hpp"
 #include "telemetry/metrics.hpp"
@@ -152,7 +153,7 @@ struct PhaseEntry {
 struct RunReport {
   std::string app;
   std::string runtime;
-  std::string config_summary;
+  std::vector<KnobSetting> effective_config;
   std::string pmu_mode = "off";
   bool pmu_available = false;
   std::string pmu_reason;
@@ -164,9 +165,16 @@ struct RunReport {
   std::vector<Sampler::Series> series;
 };
 
+// The run's effective config: every knob of `cfg` (the config the run was
+// built from) with its source; plan knobs the adaptive controller or the
+// scheduler decided take the plan's value and source.
+std::vector<KnobSetting> effective_config(RuntimeConfig cfg,
+                                          const engine::PlanInfo& plan);
+
 // Fills the telemetry-derived report fields (pmu status, input bytes,
 // per-phase counters with their active source, metrics snapshot, sampler
-// series) from a live session; the caller sets app/runtime/config/result.
+// series) from a live session; the caller sets app/runtime/
+// effective_config/result.
 void fill_from_session(RunReport& report, const Session& session);
 
 void run_report_json(std::ostream& out, const RunReport& report);

@@ -26,9 +26,11 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
   ring_.reserve(capacity_);
 }
 
-void FlightRecorder::set_config(std::string summary) {
+void FlightRecorder::set_config(std::string context,
+                                std::vector<KnobSetting> knobs) {
   std::lock_guard<std::mutex> lock(mutex_);
-  config_summary_ = std::move(summary);
+  context_ = std::move(context);
+  knobs_ = std::move(knobs);
 }
 
 void FlightRecorder::record(std::uint64_t job, std::string kind,
@@ -73,11 +75,13 @@ void FlightRecorder::dump_json(
   // Snapshot under the lock, write outside it: a dump must not block the
   // scheduler's event stream on ostream I/O.
   const std::vector<Event> snapshot = events();
-  std::string config;
+  std::string context;
+  std::vector<KnobSetting> knobs;
   std::uint64_t dropped;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    config = config_summary_;
+    context = context_;
+    knobs = knobs_;
     dropped = dropped_;
   }
 
@@ -85,7 +89,8 @@ void FlightRecorder::dump_json(
   w.begin_object();
   w.field("schema", "ramr-flight-v1");
   w.field("reason", reason);
-  w.field("config", config);
+  w.field("context", context);
+  write_effective_config(w, knobs);
   w.field("dropped", dropped);
   w.begin_array("events");
   for (const Event& e : snapshot) {

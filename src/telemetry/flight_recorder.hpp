@@ -7,12 +7,12 @@
 // (RAMR_FLIGHT_EVENTS, default 256) and overwrites silently; `dropped`
 // counts what aged out so a dump is honest about its horizon.
 //
-// dump_json writes schema "ramr-flight-v1": the trigger reason, the config
-// summary stamped at startup, the retained events oldest-first, and an
-// optional caller-provided "extra" section (the scheduler adds the failing
-// job's identity and the latest metrics frames there). Triggers live in
-// the scheduler: job abort, breaker-open, watchdog fire,
-// shutdown-with-failures.
+// dump_json writes schema "ramr-flight-v1": the trigger reason, the context
+// line and effective config stamped at startup, the retained events
+// oldest-first, and an optional caller-provided "extra" section (the
+// scheduler adds the failing job's identity and the latest metrics frames
+// there). Triggers live in the scheduler: job abort, breaker-open,
+// watchdog fire, shutdown-with-failures.
 //
 // Appends are mutex-guarded — every producer call site already holds or
 // just released the scheduler lock, so contention is nil and the cost per
@@ -26,6 +26,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/config.hpp"
 
 namespace ramr::telemetry {
 
@@ -42,8 +44,9 @@ class FlightRecorder {
 
   explicit FlightRecorder(std::size_t capacity);
 
-  // One-time context stamped into every dump (the resolved config line).
-  void set_config(std::string summary);
+  // One-time context stamped into every dump: a one-line description of
+  // the owner and its effective config.
+  void set_config(std::string context, std::vector<KnobSetting> knobs);
 
   void record(std::uint64_t job, std::string kind, std::string detail);
 
@@ -69,7 +72,8 @@ class FlightRecorder {
   std::vector<Event> ring_;     // wraps at capacity_
   std::size_t next_ = 0;        // ring_[next_ % capacity_] is written next
   std::uint64_t dropped_ = 0;
-  std::string config_summary_;
+  std::string context_;
+  std::vector<KnobSetting> knobs_;
 };
 
 }  // namespace ramr::telemetry

@@ -127,4 +127,16 @@ void JsonWriter::element(std::uint64_t value) {
   os_ << value;
 }
 
+void write_effective_config(JsonWriter& w,
+                            const std::vector<KnobSetting>& knobs) {
+  w.begin_object("effective_config");
+  for (const KnobSetting& k : knobs) {
+    w.begin_object(k.env);
+    w.field("value", k.value);
+    w.field("source", k.source);
+    w.end_object();
+  }
+  w.end_object();
+}
+
 }  // namespace ramr::telemetry

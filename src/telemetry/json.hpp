@@ -14,6 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/config.hpp"
+
 namespace ramr::telemetry {
 
 class JsonWriter {
@@ -59,5 +61,10 @@ class JsonWriter {
   std::ostream& os_;
   std::vector<bool> needs_comma_;  // one entry per open container
 };
+
+// "effective_config": {"RAMR_MAPPERS": {"value": "2", "source": "env"}, ...}
+// — one entry per knob-table row (see ramr::knob_settings).
+void write_effective_config(JsonWriter& w,
+                            const std::vector<KnobSetting>& knobs);
 
 }  // namespace ramr::telemetry

@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/error.hpp"
-
 #if defined(__linux__)
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
@@ -15,23 +13,6 @@
 #endif
 
 namespace ramr::telemetry {
-
-PmuMode parse_pmu_mode(const std::string& name) {
-  if (name == "auto" || name == "1") return PmuMode::kAuto;
-  if (name == "on" || name == "force") return PmuMode::kOn;
-  if (name == "off" || name == "0" || name == "none") return PmuMode::kOff;
-  throw ConfigError("RAMR_PMU: unknown PMU mode '" + name +
-                    "' (expected auto|on|off)");
-}
-
-std::string to_string(PmuMode mode) {
-  switch (mode) {
-    case PmuMode::kAuto: return "auto";
-    case PmuMode::kOn: return "on";
-    case PmuMode::kOff: return "off";
-  }
-  return "?";
-}
 
 #if defined(RAMR_HAVE_PERF_EVENT)
 

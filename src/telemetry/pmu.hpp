@@ -29,15 +29,12 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
+
 namespace ramr::telemetry {
 
-// RAMR_PMU knob: auto = use hardware counters when available (default),
-// off = never open counters (forces the model fallback), on = same as auto
-// but the run report flags that hardware counting was explicitly requested.
-enum class PmuMode { kAuto, kOn, kOff };
-
-PmuMode parse_pmu_mode(const std::string& name);
-std::string to_string(PmuMode mode);
+// The RAMR_PMU mode; parsed with the other knobs (common/config.hpp).
+using ramr::PmuMode;
 
 // One capability probe per process (cached): can we open an instructions
 // counter on ourselves?

@@ -1,4 +1,4 @@
-// ServiceTrace — the process-wide stitched execution trace (RAMR_OBS=1).
+// ServiceTrace — the process-wide stitched execution trace (RAMR_OBS=full).
 //
 // One service process runs many jobs, each of which may run several times
 // (retries, hedges) with its own per-run trace::Recorder. This class

@@ -51,9 +51,9 @@ Session::Session(SessionOptions options)
 Session::~Session() = default;
 
 std::unique_ptr<Session> Session::from_config(const RuntimeConfig& config) {
-  if (!config.telemetry) return nullptr;
+  if (config.obs == ObsLevel::kOff) return nullptr;
   SessionOptions options;
-  options.pmu = parse_pmu_mode(config.pmu_mode);
+  options.pmu = config.pmu_mode;
   options.sample_interval_us = config.sample_interval_us;
   options.num_mappers = std::max<std::size_t>(1, config.num_mappers);
   options.num_combiners = config.num_combiners;

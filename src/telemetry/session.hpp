@@ -4,7 +4,7 @@
 //
 // Lifecycle (driven by engine::PhaseDriver):
 //
-//   Runtime ctor   Session::from_config (nullptr when RAMR_TELEMETRY is
+//   Runtime ctor   Session::from_config (nullptr when RAMR_OBS is
 //                  off — the engine then carries a null pointer and every
 //                  instrumentation site is one pointer check)
 //   run() start    attach_pools(tids) once, begin_run(epoch) — sampler on
@@ -96,8 +96,8 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  // nullptr when config.telemetry is off. Reads the resolved worker counts
-  // and the RAMR_PMU / RAMR_SAMPLE_US knobs mirrored into the config.
+  // nullptr when config.obs is off. Reads the resolved worker counts and
+  // the RAMR_PMU / RAMR_SAMPLE_US knobs mirrored into the config.
   static std::unique_ptr<Session> from_config(const RuntimeConfig& config);
 
   const SessionOptions& options() const { return options_; }

@@ -21,7 +21,6 @@
 #include "apps/flavor.hpp"
 #include "apps/suite.hpp"
 #include "common/config.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "core/runtime.hpp"
 #include "mini_apps.hpp"
@@ -202,56 +201,6 @@ TEST(PlanCache, MissingFileIsEmptyNotCorrupt) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// ---- env-knob validation --------------------------------------------------
-
-TEST(EnvValidation, OutOfRangeKnobsNameTheVariable) {
-  const struct {
-    const char* name;
-    const char* value;
-  } bad[] = {
-      {kEnvRatio, "0"},
-      {kEnvRatio, "4096"},
-      {kEnvSleepCapMicros, "0"},
-      {kEnvSampleMicros, "70000000"},
-  };
-  for (const auto& b : bad) {
-    env::ScopedOverride guard(b.name, b.value);
-    try {
-      (void)RuntimeConfig::from_env();
-      FAIL() << b.name << "=" << b.value << " was accepted";
-    } catch (const ConfigError& e) {
-      EXPECT_NE(std::string(e.what()).find(b.name), std::string::npos)
-          << "error does not name the variable: " << e.what();
-    }
-  }
-}
-
-TEST(EnvValidation, InRangeKnobsStillParse) {
-  env::ScopedOverride ratio(kEnvRatio, "3");
-  env::ScopedOverride cap(kEnvSleepCapMicros, "2000");
-  env::ScopedOverride sample(kEnvSampleMicros, "500");
-  const RuntimeConfig cfg = RuntimeConfig::from_env();
-  EXPECT_EQ(cfg.mapper_combiner_ratio, 3u);
-  EXPECT_EQ(cfg.sleep_cap_micros, 2000u);
-  EXPECT_EQ(cfg.sample_interval_us, 500u);
-  EXPECT_TRUE(cfg.env_overrides.ratio);
-  EXPECT_TRUE(cfg.env_overrides.sleep_cap);
-  EXPECT_TRUE(cfg.env_overrides.any_plan_knob());
-}
-
-TEST(EnvValidation, AdaptModeParsesAndRejects) {
-  EXPECT_EQ(parse_adapt_mode("off"), AdaptMode::kOff);
-  EXPECT_EQ(parse_adapt_mode("probe"), AdaptMode::kProbe);
-  EXPECT_EQ(parse_adapt_mode("full"), AdaptMode::kFull);
-  EXPECT_THROW(parse_adapt_mode("bogus"), ConfigError);
-
-  env::ScopedOverride mode(kEnvAdapt, "full");
-  env::ScopedOverride cache(kEnvPlanCache, "/tmp/x.json");
-  const RuntimeConfig cfg = RuntimeConfig::from_env();
-  EXPECT_EQ(cfg.adapt_mode, AdaptMode::kFull);
-  EXPECT_EQ(cfg.plan_cache_path, "/tmp/x.json");
-}
-
 // ---- governor -------------------------------------------------------------
 
 TEST(Governor, DefaultPolicyDoublesUnderCongestion) {
@@ -392,8 +341,8 @@ TEST(AdaptE2E, HeavyWorkloadCommitsPipelinedWithGovernor) {
   const std::string report = temp_path("adapt_heavy_report.json");
   std::remove(cache.c_str());
   std::remove(report.c_str());
-  env::ScopedOverride report_env(kEnvAdaptReport, report);
-  const RuntimeConfig cfg = adaptive_config(cache);
+  RuntimeConfig cfg = adaptive_config(cache);
+  cfg.adapt_report_path = report;
 
   synth::SynthParams params;
   params.map_kind = synth::WorkKind::kCpu;

@@ -2,12 +2,17 @@
 // cache-line padding, timing, RNG determinism, affinity wrapper, peak RSS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -32,16 +37,8 @@ namespace {
 TEST(Env, UnsetReturnsFallback) {
   ::unsetenv("RAMR_TEST_UNSET");
   EXPECT_EQ(env::get("RAMR_TEST_UNSET"), std::nullopt);
-  EXPECT_EQ(env::get_int("RAMR_TEST_UNSET", -7), -7);
   EXPECT_EQ(env::get_uint("RAMR_TEST_UNSET", 7u), 7u);
-  EXPECT_DOUBLE_EQ(env::get_double("RAMR_TEST_UNSET", 1.5), 1.5);
   EXPECT_TRUE(env::get_bool("RAMR_TEST_UNSET", true));
-  EXPECT_EQ(env::get_string("RAMR_TEST_UNSET", "x"), "x");
-}
-
-TEST(Env, ParsesInteger) {
-  env::ScopedOverride o("RAMR_TEST_INT", "-42");
-  EXPECT_EQ(env::get_int("RAMR_TEST_INT", 0), -42);
 }
 
 TEST(Env, ParsesUnsigned) {
@@ -54,14 +51,25 @@ TEST(Env, RejectsNegativeUnsigned) {
   EXPECT_THROW(env::get_uint("RAMR_TEST_UINT", 0), ConfigError);
 }
 
-TEST(Env, RejectsGarbageInteger) {
-  env::ScopedOverride o("RAMR_TEST_INT", "12abc");
-  EXPECT_THROW(env::get_int("RAMR_TEST_INT", 0), ConfigError);
+TEST(Env, RejectsNegativeUnsignedAfterWhitespace) {
+  // strtoull skips the blanks and negates: " -1" used to parse as 2^64 - 1.
+  env::ScopedOverride o("RAMR_TEST_UINT", " -1");
+  EXPECT_THROW(env::get_uint("RAMR_TEST_UINT", 0), ConfigError);
+}
+
+TEST(Env, RejectsGarbageUnsigned) {
+  env::ScopedOverride o("RAMR_TEST_UINT", "12abc");
+  EXPECT_THROW(env::get_uint("RAMR_TEST_UINT", 0), ConfigError);
 }
 
 TEST(Env, ParsesDouble) {
-  env::ScopedOverride o("RAMR_TEST_DBL", "2.75");
-  EXPECT_DOUBLE_EQ(env::get_double("RAMR_TEST_DBL", 0.0), 2.75);
+  EXPECT_DOUBLE_EQ(env::parse_double("RAMR_TEST_DBL", "2.75"), 2.75);
+}
+
+TEST(Env, RejectsNonFiniteDouble) {
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "1e999"}) {
+    EXPECT_THROW(env::parse_double("RAMR_TEST_DBL", bad), ConfigError) << bad;
+  }
 }
 
 TEST(Env, ParsesBooleans) {
@@ -93,33 +101,13 @@ TEST(Env, ScopedOverrideRestoresPreviousValue) {
 
 TEST(Config, DefaultsMatchPaper) {
   RuntimeConfig cfg;
-  EXPECT_EQ(cfg.queue_capacity, 5000u);  // Sec. III-A
-  EXPECT_TRUE(cfg.sleep_on_full);        // Sec. III-A
+  EXPECT_EQ(cfg.queue_capacity, 5000u);           // Sec. III-A
+  EXPECT_EQ(cfg.backoff, BackoffKind::kSleep);    // Sec. III-A
   EXPECT_EQ(cfg.pin_policy, PinPolicy::kRamrPaired);
 }
 
-TEST(Config, FromEnvReadsEveryKnob) {
-  env::ScopedOverride a(kEnvMappers, "6");
-  env::ScopedOverride b(kEnvCombiners, "3");
-  env::ScopedOverride c(kEnvTaskSize, "8");
-  env::ScopedOverride d(kEnvQueueCapacity, "1024");
-  env::ScopedOverride e(kEnvBatchSize, "100");
-  env::ScopedOverride f(kEnvPinPolicy, "rr");
-  env::ScopedOverride g(kEnvSleepOnFull, "0");
-  env::ScopedOverride h(kEnvSleepMicros, "75");
-  const RuntimeConfig cfg = RuntimeConfig::from_env();
-  EXPECT_EQ(cfg.num_mappers, 6u);
-  EXPECT_EQ(cfg.num_combiners, 3u);
-  EXPECT_EQ(cfg.task_size, 8u);
-  EXPECT_EQ(cfg.queue_capacity, 1024u);
-  EXPECT_EQ(cfg.batch_size, 100u);
-  EXPECT_EQ(cfg.pin_policy, PinPolicy::kRoundRobin);
-  EXPECT_FALSE(cfg.sleep_on_full);
-  EXPECT_EQ(cfg.sleep_micros, 75u);
-}
-
 TEST(Config, RatioEnvKnobDrivesDerivedWorkerCounts) {
-  env::ScopedOverride r(kEnvRatio, "3");
+  env::ScopedOverride r("RAMR_RATIO", "3");
   const RuntimeConfig cfg = RuntimeConfig::from_env();
   EXPECT_EQ(cfg.mapper_combiner_ratio, 3u);
   // The ratio feeds the machine fill: groups of (3+1)=4 threads -> 3 groups
@@ -181,15 +169,12 @@ TEST(Config, ResolveRejectsZeroTaskSize) {
   EXPECT_THROW(cfg.resolved(8), ConfigError);
 }
 
-TEST(Config, SplitDistributionRoundTripAndEnv) {
+TEST(Config, SplitDistributionRoundTrip) {
   for (SplitDistribution d :
        {SplitDistribution::kRoundRobin, SplitDistribution::kBlocked}) {
     EXPECT_EQ(parse_split_distribution(to_string(d)), d);
   }
   EXPECT_THROW(parse_split_distribution("zigzag"), ConfigError);
-  env::ScopedOverride o(kEnvSplitDistribution, "block");
-  EXPECT_EQ(RuntimeConfig::from_env().split_distribution,
-            SplitDistribution::kBlocked);
 }
 
 TEST(Config, PinPolicyRoundTrip) {
@@ -198,6 +183,258 @@ TEST(Config, PinPolicyRoundTrip) {
     EXPECT_EQ(parse_pin_policy(to_string(p)), p);
   }
   EXPECT_THROW(parse_pin_policy("bogus"), ConfigError);
+}
+
+// ---------- the knob table ---------------------------------------------------
+
+// Unsets every table knob (and the retired names) for the scope, so the
+// ambient environment — CI runs the suite under RAMR_MEM=arena — cannot
+// leak into a test that checks defaults.
+class KnobEnvCleared {
+ public:
+  KnobEnvCleared() {
+    for (const KnobInfo& k : knob_table()) save(k.env);
+    save("RAMR_TELEMETRY");
+    save("RAMR_SLEEP_ON_FULL");
+  }
+  ~KnobEnvCleared() {
+    for (const auto& [name, value] : saved_) {
+      ::setenv(name.c_str(), value.c_str(), 1);
+    }
+  }
+  KnobEnvCleared(const KnobEnvCleared&) = delete;
+  KnobEnvCleared& operator=(const KnobEnvCleared&) = delete;
+
+ private:
+  void save(const std::string& name) {
+    if (auto value = env::get(name)) saved_.emplace_back(name, *value);
+    ::unsetenv(name.c_str());
+  }
+  std::vector<std::pair<std::string, std::string>> saved_;
+};
+
+std::string value_of(const RuntimeConfig& cfg, Knob id) {
+  return knob_settings(cfg)[static_cast<std::size_t>(id)].value;
+}
+
+// "key=value" pairs of a summary() line.
+std::map<std::string, std::string> summary_fields(const std::string& line) {
+  std::map<std::string, std::string> out;
+  std::istringstream in(line);
+  std::string word;
+  while (in >> word) {
+    const std::size_t eq = word.find('=');
+    if (eq != std::string::npos) out[word.substr(0, eq)] = word.substr(eq + 1);
+  }
+  return out;
+}
+
+std::string uint_text(double v) {
+  return std::to_string(static_cast<std::uint64_t>(v));
+}
+
+// Accepted spellings per row; each must round-trip.
+std::vector<std::string> valid_values(const KnobInfo& k) {
+  switch (k.kind) {
+    case KnobKind::kUint:
+      return {uint_text(k.lo), uint_text(k.hi), uint_text((k.lo + k.hi) / 2)};
+    case KnobKind::kReal:
+      return {"0", "1.5", std::to_string(k.lo), std::to_string(k.hi)};
+    case KnobKind::kFlag:
+      return {"on", "off", "1", "0", "TRUE", "no"};
+    case KnobKind::kText:
+      return {"x", "some/path.json"};
+    case KnobKind::kChoice:
+      return k.choices;
+  }
+  return {};
+}
+
+// Garbage, below-range and above-range spellings per row. Free-text rows
+// accept anything.
+std::vector<std::string> invalid_values(const KnobInfo& k) {
+  switch (k.kind) {
+    case KnobKind::kUint: {
+      std::vector<std::string> bad = {"garbage", "12abc", "-1", " -1",
+                                      "18446744073709551616",
+                                      uint_text(k.hi + 1)};
+      if (k.lo > 0) bad.push_back(uint_text(k.lo - 1));
+      return bad;
+    }
+    case KnobKind::kReal:
+      return {"garbage", "nan", "inf", "-1", std::to_string(k.lo / 2),
+              std::to_string(k.hi * 2)};
+    case KnobKind::kFlag:
+      return {"maybe", "2"};
+    case KnobKind::kText:
+      return {};
+    case KnobKind::kChoice:
+      return {"bogus", "2"};
+  }
+  return {};
+}
+
+void expect_config_error_naming(const char* env_name) {
+  try {
+    (void)RuntimeConfig::from_env();
+    ADD_FAILURE() << "accepted " << env_name << "="
+                  << env::get(env_name).value_or("");
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(env_name), std::string::npos)
+        << "error does not name the variable: " << e.what();
+  }
+}
+
+TEST(KnobTable, EveryRowParsesRangeChecksAndRoundTrips) {
+  KnobEnvCleared clear;
+  const RuntimeConfig unset = RuntimeConfig::from_env();
+  EXPECT_TRUE(unset.pinned.rows.none());
+  EXPECT_EQ(unset.summary(), "defaults");
+  ASSERT_EQ(knob_table().size(), kKnobCount);
+  for (const KnobInfo& k : knob_table()) {
+    SCOPED_TRACE(k.env);
+    EXPECT_EQ(std::string(k.env), "RAMR_" + [&] {
+      std::string upper = k.key;
+      for (char& ch : upper) ch = static_cast<char>(std::toupper(ch));
+      return upper;
+    }());
+    // Unset: the struct default.
+    EXPECT_EQ(value_of(unset, k.id), k.default_value);
+
+    for (const std::string& bad : invalid_values(k)) {
+      SCOPED_TRACE(bad);
+      env::ScopedOverride o(k.env, bad);
+      expect_config_error_naming(k.env);
+    }
+
+    for (const std::string& good : valid_values(k)) {
+      SCOPED_TRACE(good);
+      std::string value;
+      std::string line;
+      {
+        env::ScopedOverride o(k.env, good);
+        const RuntimeConfig cfg = RuntimeConfig::from_env();
+        EXPECT_TRUE(cfg.pinned[k.id]);
+        value = value_of(cfg, k.id);
+        line = cfg.summary();
+      }
+      // summary() shows the value iff it differs from the default...
+      const auto fields = summary_fields(line);
+      if (value == k.default_value) {
+        EXPECT_EQ(fields.count(k.key), 0u) << line;
+      } else if (k.kind != KnobKind::kText) {  // text may contain blanks
+        ASSERT_EQ(fields.count(k.key), 1u) << line;
+        EXPECT_EQ(fields.at(k.key), value);
+      }
+      // ...spelled so the env reads it back to the same value.
+      if (!value.empty()) {
+        env::ScopedOverride again(k.env, value);
+        EXPECT_EQ(value_of(RuntimeConfig::from_env(), k.id), value);
+      }
+    }
+  }
+}
+
+TEST(KnobTable, ReproducersThrowNamingTheVariable) {
+  KnobEnvCleared clear;
+  const struct {
+    const char* name;
+    const char* value;
+  } cases[] = {
+      {"RAMR_PRECOMBINE", "9223372036854775809"},  // round_up_pow2 overflow
+      {"RAMR_MAPPERS", " -1"},
+      {"RAMR_HEDGE_FACTOR", "nan"},
+      {"RAMR_PMU", "bogus"},  // validated even with observability off
+      {"RAMR_OBS", "1"},      // the old boolean spelling: ambiguous now
+      {"RAMR_OBS", "on"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + "=" + c.value);
+    env::ScopedOverride o(c.name, c.value);
+    expect_config_error_naming(c.name);
+  }
+}
+
+TEST(KnobTable, RetiredKnobsNameTheirReplacement) {
+  KnobEnvCleared clear;
+  const struct {
+    const char* name;
+    const char* value;
+    const char* replacement;
+  } cases[] = {
+      {"RAMR_TELEMETRY", "1", "RAMR_OBS=metrics"},
+      {"RAMR_TELEMETRY", "0", "RAMR_OBS=metrics"},
+      {"RAMR_SLEEP_ON_FULL", "0", "RAMR_BACKOFF=busy"},
+  };
+  for (const auto& c : cases) {
+    env::ScopedOverride o(c.name, c.value);
+    try {
+      (void)RuntimeConfig::from_env();
+      ADD_FAILURE() << c.name << " was accepted";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.name), std::string::npos) << what;
+      EXPECT_NE(what.find(c.replacement), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(KnobTable, ObsErrorListsTheLevels) {
+  KnobEnvCleared clear;
+  env::ScopedOverride o("RAMR_OBS", "1");
+  try {
+    (void)RuntimeConfig::from_env();
+    FAIL() << "RAMR_OBS=1 was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("off|metrics|full"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(KnobTable, PinnedRecordFlagsPlanKnobsOnly) {
+  KnobEnvCleared clear;
+  {
+    env::ScopedOverride cap("RAMR_SLEEP_CAP_US", "2000");
+    const RuntimeConfig cfg = RuntimeConfig::from_env();
+    EXPECT_TRUE(cfg.pinned[Knob::kSleepCapMicros]);
+    // A governor knob, not a plan knob.
+    EXPECT_FALSE(cfg.pinned.any_plan_knob());
+  }
+  for (const char* plan_knob :
+       {"RAMR_MAPPERS", "RAMR_COMBINERS", "RAMR_RATIO", "RAMR_QUEUE_CAPACITY",
+        "RAMR_BATCH_SIZE", "RAMR_PIN_POLICY"}) {
+    env::ScopedOverride o(plan_knob, plan_knob == std::string("RAMR_PIN_POLICY")
+                                         ? "os"
+                                         : "2");
+    EXPECT_TRUE(RuntimeConfig::from_env().pinned.any_plan_knob()) << plan_knob;
+  }
+  static_assert(sizeof(PinnedKnobs) <= 8, "the pinned record stays one word");
+}
+
+TEST(KnobTable, SettingsReportTheSourceOfEveryKnob) {
+  KnobEnvCleared clear;
+  env::ScopedOverride batch("RAMR_BATCH_SIZE", "64");
+  RuntimeConfig cfg = RuntimeConfig::from_env();
+  cfg.task_size = 8;  // set in code
+  const auto by_env = [](const std::vector<KnobSetting>& settings,
+                         const std::string& name) {
+    for (const KnobSetting& s : settings) {
+      if (name == s.env) return s;
+    }
+    return KnobSetting{"", "", ""};
+  };
+  const auto plain = knob_settings(cfg);
+  ASSERT_EQ(plain.size(), kKnobCount);
+  EXPECT_EQ(by_env(plain, "RAMR_BATCH_SIZE").source, "env");
+  EXPECT_EQ(by_env(plain, "RAMR_BATCH_SIZE").value, "64");
+  EXPECT_EQ(by_env(plain, "RAMR_TASK_SIZE").source, "config");
+  EXPECT_EQ(by_env(plain, "RAMR_RATIO").source, "default");
+  // A probed plan decides the unpinned plan knobs only.
+  const auto probed = knob_settings(cfg, "probe");
+  EXPECT_EQ(by_env(probed, "RAMR_BATCH_SIZE").source, "env");
+  EXPECT_EQ(by_env(probed, "RAMR_RATIO").source, "probe");
+  EXPECT_EQ(by_env(probed, "RAMR_TASK_SIZE").source, "config");
 }
 
 // ---------- cacheline -------------------------------------------------------

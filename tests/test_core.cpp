@@ -101,7 +101,7 @@ TEST(RamrRuntime, BusyWaitBackoffStaysCorrect) {
   const ModCountApp app;
   const auto input = make_numbers(20000, 7);
   RuntimeConfig cfg = small_config(2, 1);
-  cfg.sleep_on_full = false;
+  cfg.backoff = BackoffKind::kBusyWait;
   cfg.queue_capacity = 16;
   cfg.batch_size = 8;
   Runtime<ModCountApp> rt(topo::host(), cfg);
@@ -247,11 +247,6 @@ TEST(RamrRuntime, PrecombineWorksWithStringsAndTinyBuffers) {
   }
 }
 
-TEST(RamrRuntime, PrecombineEnvKnob) {
-  env::ScopedOverride o(kEnvPrecombine, "128");
-  EXPECT_EQ(RuntimeConfig::from_env().precombine_slots, 128u);
-}
-
 TEST(RamrRuntime, BlockedSplitDistributionStaysCorrect) {
   const ModCountApp app;
   const auto input = make_numbers(9000, 21);
@@ -293,11 +288,11 @@ TEST(RamrRuntime, DerivedWorkerCountsFromTopologyAndRatio) {
 }
 
 TEST(RamrRuntime, EnvKnobsDriveRunOnce) {
-  env::ScopedOverride m(kEnvMappers, "2");
-  env::ScopedOverride c(kEnvCombiners, "1");
-  env::ScopedOverride q(kEnvQueueCapacity, "256");
-  env::ScopedOverride b(kEnvBatchSize, "16");
-  env::ScopedOverride p(kEnvPinPolicy, "os");
+  env::ScopedOverride m("RAMR_MAPPERS", "2");
+  env::ScopedOverride c("RAMR_COMBINERS", "1");
+  env::ScopedOverride q("RAMR_QUEUE_CAPACITY", "256");
+  env::ScopedOverride b("RAMR_BATCH_SIZE", "16");
+  env::ScopedOverride p("RAMR_PIN_POLICY", "os");
   const ModCountApp app;
   const auto input = make_numbers(3000, 10);
   const auto result = run_once(app, input, RuntimeConfig::from_env());

@@ -13,7 +13,6 @@
 
 #include "common/cancellation.hpp"
 #include "common/config.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "containers/atomic_array_container.hpp"
 #include "core/runtime.hpp"
@@ -415,22 +414,6 @@ TEST(Config, PipelinedRejectsSinglePoolShape) {
 TEST(Config, ResolvedRejectsCombinerHeavyShape) {
   RuntimeConfig cfg = ramr_config(1, 2);
   EXPECT_THROW(cfg.resolved(8), ConfigError);
-}
-
-TEST(Config, RobustnessKnobsReadFromEnv) {
-  env::ScopedOverride faults(kEnvFaults, "map_task=3");
-  env::ScopedOverride retries(kEnvTaskRetries, "2");
-  env::ScopedOverride backoff(kEnvBackoff, "exp");
-  env::ScopedOverride cap(kEnvSleepCapMicros, "4000");
-  env::ScopedOverride deadline(kEnvDeadlineMs, "9000");
-  env::ScopedOverride stall(kEnvStallMs, "700");
-  const RuntimeConfig cfg = RuntimeConfig::from_env();
-  EXPECT_EQ(cfg.fault_spec, "map_task=3");
-  EXPECT_EQ(cfg.max_task_retries, 2u);
-  EXPECT_EQ(cfg.backoff, BackoffKind::kExponential);
-  EXPECT_EQ(cfg.sleep_cap_micros, 4000u);
-  EXPECT_EQ(cfg.deadline_ms, 9000u);
-  EXPECT_EQ(cfg.stall_timeout_ms, 700u);
 }
 
 TEST(Config, ExponentialBackoffRunStaysCorrect) {

@@ -22,14 +22,14 @@ using namespace ramr::apps;
 // ---------- env-driven configuration end-to-end ---------------------------------
 
 TEST(Integration, FullEnvKnobSetDrivesARealRun) {
-  env::ScopedOverride a(kEnvMappers, "3");
-  env::ScopedOverride b(kEnvCombiners, "2");
-  env::ScopedOverride c(kEnvTaskSize, "2");
-  env::ScopedOverride d(kEnvQueueCapacity, "128");
-  env::ScopedOverride e(kEnvBatchSize, "16");
-  env::ScopedOverride f(kEnvPinPolicy, "os");
-  env::ScopedOverride g(kEnvSleepOnFull, "1");
-  env::ScopedOverride h(kEnvSleepMicros, "10");
+  env::ScopedOverride a("RAMR_MAPPERS", "3");
+  env::ScopedOverride b("RAMR_COMBINERS", "2");
+  env::ScopedOverride c("RAMR_TASK_SIZE", "2");
+  env::ScopedOverride d("RAMR_QUEUE_CAPACITY", "128");
+  env::ScopedOverride e("RAMR_BATCH_SIZE", "16");
+  env::ScopedOverride f("RAMR_PIN_POLICY", "os");
+  env::ScopedOverride g("RAMR_BACKOFF", "sleep");
+  env::ScopedOverride h("RAMR_SLEEP_US", "10");
 
   PixelInput input{make_pixels(50000, 1), 2048};
   const HistogramApp<ContainerFlavor::kDefault> app;

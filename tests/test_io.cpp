@@ -20,7 +20,6 @@
 #include "apps/string_match.hpp"
 #include "apps/suite.hpp"
 #include "common/config.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "engine/phase_driver.hpp"
@@ -95,57 +94,6 @@ std::map<std::string, V> as_map(const std::map<K, V>& ref) {
 }
 
 // ---------- RAMR_IO* knob validation ----------------------------------------
-
-TEST(IoConfig, ParseModeAcceptsKnownAndNamesKnobOnError) {
-  EXPECT_EQ(io::parse_io_mode("off"), io::IoMode::kOff);
-  EXPECT_EQ(io::parse_io_mode("mmap"), io::IoMode::kMmap);
-  EXPECT_EQ(io::parse_io_mode("direct"), io::IoMode::kDirect);
-  try {
-    io::parse_io_mode("weird");
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("RAMR_IO"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("weird"), std::string::npos);
-  }
-}
-
-TEST(IoConfig, FromEnvReadsAllThreeKnobs) {
-  env::ScopedOverride mode("RAMR_IO", "mmap");
-  env::ScopedOverride window("RAMR_IO_WINDOW", "131072");
-  env::ScopedOverride depth("RAMR_IO_DEPTH", "4");
-  const io::IoConfig cfg = io::IoConfig::from_env();
-  EXPECT_EQ(cfg.mode, io::IoMode::kMmap);
-  EXPECT_EQ(cfg.window_bytes, 131072u);
-  EXPECT_EQ(cfg.depth, 4u);
-  EXPECT_TRUE(cfg.enabled());
-}
-
-TEST(IoConfig, FromEnvRejectsOutOfRangeNamingTheVariable) {
-  {
-    env::ScopedOverride window("RAMR_IO_WINDOW", "1024");  // < 64 KiB floor
-    try {
-      io::IoConfig::from_env();
-      FAIL() << "expected ConfigError";
-    } catch (const ConfigError& e) {
-      EXPECT_NE(std::string(e.what()).find("RAMR_IO_WINDOW"),
-                std::string::npos);
-    }
-  }
-  {
-    env::ScopedOverride depth("RAMR_IO_DEPTH", "1");  // < 2 floor
-    try {
-      io::IoConfig::from_env();
-      FAIL() << "expected ConfigError";
-    } catch (const ConfigError& e) {
-      EXPECT_NE(std::string(e.what()).find("RAMR_IO_DEPTH"),
-                std::string::npos);
-    }
-  }
-  {
-    env::ScopedOverride mode("RAMR_IO", "turbo");
-    EXPECT_THROW(io::IoConfig::from_env(), ConfigError);
-  }
-}
 
 TEST(IoConfig, DefaultIsOffAndFactoryRefusesOff) {
   const io::IoConfig cfg;

@@ -1,7 +1,6 @@
 // Tests for the RAMR_MEM subsystem: bump arenas (alignment, high-water,
-// wholesale reset with chunk reuse), page-backed buffers (forced fallback
-// via RAMR_HUGEPAGES=0), the MemoryLayer's node assignment and ring-storage
-// hook, and end-to-end runs under mem=arena / mem=numa matching the default
+// wholesale reset with chunk reuse), page-backed buffers, the
+// MemoryLayer's node assignment, ring-storage hook and huge-page switch, and end-to-end runs under mem=arena / mem=numa matching the default
 // path's results exactly.
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "engine/phase_driver.hpp"
 #include "engine/pool_set.hpp"
@@ -114,10 +112,8 @@ TEST(PageBuffer, AllocatesWritableAlignedMemory) {
   EXPECT_EQ(static_cast<unsigned char*>(buf.data())[buf.size() - 1], 0x7E);
 }
 
-TEST(PageBuffer, ForcedFallbackViaEnvDisablesHugePages) {
-  env::ScopedOverride off(kEnvHugePages, "0");
-  EXPECT_FALSE(hugepages_enabled());
-  PageBuffer buf(1 << 16, 64, -1, /*want_huge=*/true);
+TEST(PageBuffer, WithoutHugeRequestStaysOnSmallPages) {
+  PageBuffer buf(1 << 16, 64, -1, /*want_huge=*/false);
   ASSERT_TRUE(static_cast<bool>(buf));
   EXPECT_FALSE(buf.huge());  // the advice must not have been applied
   std::memset(buf.data(), 0x11, buf.size());  // still fully usable
@@ -186,6 +182,17 @@ TEST(MemoryLayer, RingStorageRoundTripsThroughARing) {
   }
   // The ring's destructor returned its block: the layer no longer counts it.
   EXPECT_EQ(layer.end_run().ring_bytes, 0u);
+}
+
+TEST(MemoryLayer, HugePagesOffKeepsRingsOnSmallPages) {
+  // RuntimeConfig::hugepages = false (RAMR_HUGEPAGES=off) reaches the layer
+  // through PoolSet; the layer must then never advise huge pages.
+  const auto topo = topo::host();
+  MemoryLayer layer(MemMode::kArena, topo, tiny_plan(topo),
+                    /*hugepages=*/false);
+  spsc::Ring<std::uint64_t> ring(1 << 16, layer.ring_storage(-1));
+  ring.prefault();
+  EXPECT_FALSE(layer.end_run().hugepages);
 }
 
 TEST(MemoryLayer, EndRunResetsArenasAndFoldsStats) {
@@ -261,7 +268,7 @@ TEST(MemEndToEnd, ElementWiseEmitStillWorksUnderArenaMode) {
   cfg.batch_size = 8;
   cfg.mem_mode = MemMode::kArena;
   cfg.emit_batch = 0;
-  cfg.env_overrides.emit_batch = true;  // as RAMR_EMIT_BATCH=0 would set
+  cfg.pinned.set(Knob::kEmitBatch);  // as RAMR_EMIT_BATCH=0 would
   engine::PoolSet pools(topo::host(), cfg);
   engine::PhaseDriver driver(pools);
   engine::PipelinedSpsc<ModCountApp> strategy;
@@ -325,14 +332,6 @@ TEST(MemEndToEnd, MapFailureUnderBatchedEmitJoinsCleanly) {
 
 // ---------- config plumbing -------------------------------------------------------
 
-TEST(MemConfig, ParseMemModeAcceptsTheDocumentedSpellings) {
-  EXPECT_EQ(parse_mem_mode("off"), MemMode::kOff);
-  EXPECT_EQ(parse_mem_mode("0"), MemMode::kOff);
-  EXPECT_EQ(parse_mem_mode("arena"), MemMode::kArena);
-  EXPECT_EQ(parse_mem_mode("numa"), MemMode::kNuma);
-  EXPECT_THROW(parse_mem_mode("bogus"), ConfigError);
-}
-
 TEST(MemConfig, MemModeDefaultsEmitBatchOn) {
   RuntimeConfig cfg;
   cfg.mem_mode = MemMode::kArena;
@@ -345,7 +344,7 @@ TEST(MemConfig, ExplicitZeroEmitBatchWinsOverTheMemDefault) {
   RuntimeConfig cfg;
   cfg.mem_mode = MemMode::kArena;
   cfg.emit_batch = 0;
-  cfg.env_overrides.emit_batch = true;  // as RAMR_EMIT_BATCH=0 would set
+  cfg.pinned.set(Knob::kEmitBatch);  // as RAMR_EMIT_BATCH=0 would
   EXPECT_EQ(cfg.resolved(8).emit_batch, 0u);
 }
 

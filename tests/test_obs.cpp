@@ -140,7 +140,9 @@ TEST(FlightRecorder, RingWrapsOldestFirst) {
 
 TEST(FlightRecorder, DumpCarriesReasonConfigAndExtra) {
   telemetry::FlightRecorder rec(8);
-  rec.set_config("topo=test cores=8");
+  RuntimeConfig knobs;
+  knobs.service_breaker_k = 3;
+  rec.set_config("topo=test cores=8", knob_settings(knobs));
   rec.record(7, "retry", "attempt 1 failed: boom");
   std::ostringstream os;
   rec.dump_json(os, "job-failed", [](telemetry::JsonWriter& w) {
@@ -149,7 +151,9 @@ TEST(FlightRecorder, DumpCarriesReasonConfigAndExtra) {
   const std::string dump = os.str();
   EXPECT_TRUE(contains(dump, "\"schema\":\"ramr-flight-v1\""));
   EXPECT_TRUE(contains(dump, "\"reason\":\"job-failed\""));
-  EXPECT_TRUE(contains(dump, "topo=test cores=8"));
+  EXPECT_TRUE(contains(dump, "\"context\":\"topo=test cores=8\""));
+  EXPECT_TRUE(contains(
+      dump, "\"RAMR_BREAKER_K\":{\"value\":\"3\",\"source\":\"config\"}"));
   EXPECT_TRUE(contains(dump, "\"kind\":\"retry\""));
   EXPECT_TRUE(contains(dump, "attempt 1 failed: boom"));
   EXPECT_TRUE(contains(dump, "\"answer\":42"));
@@ -212,7 +216,7 @@ TEST(Zipf, ProfilerOnWhenObservabilitySet) {
   cfg.num_mappers = 2;
   cfg.num_combiners = 1;
   cfg.pin_policy = PinPolicy::kOsDefault;
-  cfg.observability = true;
+  cfg.obs = ObsLevel::kFull;
   const topo::Topology topo = topo::make_server("obs-test", 1, 2, 2);
   const ModCountApp app;  // 16 buckets: every key is hot
   const auto input = make_numbers(50000, 17);

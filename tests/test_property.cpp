@@ -234,7 +234,8 @@ TEST_P(KnobFuzz, RandomConfigsAlwaysProduceTheReferenceResult) {
     cfg.queue_capacity = 2 + rng.below(2000);
     cfg.batch_size = 1 + rng.below(cfg.queue_capacity);
     cfg.task_size = 1 + rng.below(16);
-    cfg.sleep_on_full = rng.below(2) == 0;
+    cfg.backoff = rng.below(2) == 0 ? BackoffKind::kSleep
+                                    : BackoffKind::kBusyWait;
     cfg.sleep_micros = rng.below(100);
     cfg.pin_policy = PinPolicy::kOsDefault;
     core::Runtime<testing::ModCountApp> rt(topo::host(), cfg);

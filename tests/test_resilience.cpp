@@ -354,35 +354,12 @@ TEST(ClientToken, PreTrippedTokenCancelsWithoutConsumingLease) {
 
 // ---------- env knobs --------------------------------------------------------
 
-TEST(Knobs, EnvRangeValidationNamesTheVariable) {
-  {
-    env::ScopedOverride bad(kEnvServiceRetries, "101");
-    EXPECT_THROW(RuntimeConfig::from_env(), ConfigError);
-  }
-  {
-    env::ScopedOverride bad(kEnvHedgeFactor, "0.5");  // below 1x EWMA
-    EXPECT_THROW(RuntimeConfig::from_env(), ConfigError);
-  }
-  {
-    env::ScopedOverride bad(kEnvBreakerK, "1001");
-    EXPECT_THROW(RuntimeConfig::from_env(), ConfigError);
-  }
-  {
-    env::ScopedOverride bad(kEnvShedWatermark, "100001");
-    EXPECT_THROW(RuntimeConfig::from_env(), ConfigError);
-  }
-  {
-    env::ScopedOverride off(kEnvHedgeFactor, "0");  // 0 = disabled, valid
-    EXPECT_DOUBLE_EQ(RuntimeConfig::from_env().service_hedge_factor, 0.0);
-  }
-}
-
 TEST(Knobs, OptionsFromEnvPicksUpResilienceKnobs) {
-  env::ScopedOverride retries(kEnvServiceRetries, "2");
-  env::ScopedOverride hedge(kEnvHedgeFactor, "2.5");
-  env::ScopedOverride breaker(kEnvBreakerK, "4");
-  env::ScopedOverride shed(kEnvShedWatermark, "10");
-  env::ScopedOverride faults(kEnvFaults, "job_p=0.1,job_fires=3,seed=5");
+  env::ScopedOverride retries("RAMR_SERVICE_RETRIES", "2");
+  env::ScopedOverride hedge("RAMR_HEDGE_FACTOR", "2.5");
+  env::ScopedOverride breaker("RAMR_BREAKER_K", "4");
+  env::ScopedOverride shed("RAMR_SHED_WATERMARK", "10");
+  env::ScopedOverride faults("RAMR_FAULTS", "job_p=0.1,job_fires=3,seed=5");
 
   const Scheduler::Options o = Scheduler::Options::from_env();
   EXPECT_EQ(o.max_retries, 2u);
@@ -391,15 +368,22 @@ TEST(Knobs, OptionsFromEnvPicksUpResilienceKnobs) {
   EXPECT_EQ(o.shed_watermark, 10u);
   EXPECT_EQ(o.fault_spec, "job_p=0.1,job_fires=3,seed=5");
 
-  // The knobs appear in the config summary only when enabled; the default
-  // summary is byte-identical to the pre-resilience one.
-  const std::string summary = RuntimeConfig::from_env().summary();
-  EXPECT_NE(summary.find("service_retries=2"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("hedge_factor=2.5"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("breaker_k=4"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("shed_watermark=10"), std::string::npos) << summary;
-  EXPECT_EQ(RuntimeConfig{}.summary().find("service_retries"),
-            std::string::npos);
+  // knobs() maps the options back for the flight recorder's
+  // effective_config, keeping the env as their source.
+  const auto setting = [](const Scheduler::Options& opts,
+                          const std::string& env) {
+    for (const KnobSetting& k : knob_settings(opts.knobs())) {
+      if (env == k.env) return k;
+    }
+    return KnobSetting{"", "", ""};
+  };
+  EXPECT_EQ(setting(o, "RAMR_SERVICE_RETRIES").value, "2");
+  EXPECT_EQ(setting(o, "RAMR_SERVICE_RETRIES").source, "env");
+  EXPECT_EQ(setting(o, "RAMR_HEDGE_FACTOR").value, "2.5");
+  Scheduler::Options coded;
+  coded.queue_depth = 4;
+  EXPECT_EQ(setting(coded, "RAMR_SERVICE_QUEUE").value, "4");
+  EXPECT_EQ(setting(coded, "RAMR_SERVICE_QUEUE").source, "config");
 }
 
 // ---------- the chaos harness ------------------------------------------------

@@ -396,7 +396,7 @@ TEST(PoolDepot, RecyclesCompatibleSetsAndRebindsKnobs) {
 
 TEST(ServiceMode, RuntimeReusesProcessPools) {
   engine::PoolDepot::process().clear();
-  env::ScopedOverride service(kEnvService, "1");
+  env::ScopedOverride service("RAMR_SERVICE", "1");
 
   const ModCountApp app;
   const auto input = make_numbers(10000, 5);
@@ -423,7 +423,7 @@ TEST(ServiceMode, RuntimeReusesProcessPools) {
 TEST(ServiceMode, AdaptiveRuntimeConstructsPoolsLazily) {
   // Satellite regression: with the adaptive controller on, the Runtime
   // ctor must not build (and pin) a full pool set that run() never uses.
-  env::ScopedOverride adapt(kEnvAdapt, "probe");
+  env::ScopedOverride adapt("RAMR_ADAPT", "probe");
   const RuntimeConfig cfg = RuntimeConfig::from_env(job_config(2, 1));
   ASSERT_NE(cfg.adapt_mode, AdaptMode::kOff);
   core::Runtime<ModCountApp> rt(topo::host(), cfg);

@@ -8,11 +8,14 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
@@ -173,17 +176,20 @@ TEST(SamplerTest, RetiredProbesKeepTheirSeries) {
 
 // ---- PMU capability -------------------------------------------------------
 
-TEST(Pmu, ParseModeAcceptsTheDocumentedSpellings) {
-  EXPECT_EQ(parse_pmu_mode("auto"), PmuMode::kAuto);
-  EXPECT_EQ(parse_pmu_mode("1"), PmuMode::kAuto);
-  EXPECT_EQ(parse_pmu_mode("on"), PmuMode::kOn);
-  EXPECT_EQ(parse_pmu_mode("force"), PmuMode::kOn);
-  EXPECT_EQ(parse_pmu_mode("off"), PmuMode::kOff);
-  EXPECT_EQ(parse_pmu_mode("0"), PmuMode::kOff);
-  EXPECT_EQ(parse_pmu_mode("none"), PmuMode::kOff);
-  EXPECT_THROW(parse_pmu_mode("sideways"), ConfigError);
-  EXPECT_STREQ(to_string(PmuMode::kAuto).c_str(), "auto");
-  EXPECT_STREQ(to_string(PmuMode::kOff).c_str(), "off");
+TEST(Pmu, EnvAcceptsTheDocumentedSpellings) {
+  const std::pair<const char*, PmuMode> spellings[] = {
+      {"auto", PmuMode::kAuto}, {"1", PmuMode::kAuto},
+      {"on", PmuMode::kOn},     {"force", PmuMode::kOn},
+      {"off", PmuMode::kOff},   {"0", PmuMode::kOff},
+      {"none", PmuMode::kOff}};
+  for (const auto& [spelling, mode] : spellings) {
+    env::ScopedOverride o("RAMR_PMU", spelling);
+    EXPECT_EQ(RuntimeConfig::from_env().pmu_mode, mode) << spelling;
+  }
+  env::ScopedOverride bad("RAMR_PMU", "sideways");
+  EXPECT_THROW(RuntimeConfig::from_env(), ConfigError);
+  EXPECT_EQ(to_string(PmuMode::kAuto), "auto");
+  EXPECT_EQ(to_string(PmuMode::kOff), "off");
 }
 
 TEST(Pmu, ProbeIsCachedAndNeverThrows) {
@@ -208,8 +214,8 @@ TEST(Pmu, PoolWithNoThreadsIsNotMeasuring) {
 TEST(SessionTest, FromConfigIsNullWhenTelemetryOff) {
   RuntimeConfig cfg;
   EXPECT_EQ(Session::from_config(cfg), nullptr);
-  cfg.telemetry = true;
-  cfg.pmu_mode = "off";
+  cfg.obs = ObsLevel::kMetrics;
+  cfg.pmu_mode = PmuMode::kOff;
   cfg.num_mappers = 2;
   cfg.num_combiners = 1;
   auto session = Session::from_config(cfg);
@@ -310,11 +316,31 @@ TEST(Exporters, ChromeTraceMatchesGolden) {
   EXPECT_EQ(out.str(), kGolden);
 }
 
+TEST(Exporters, EffectiveConfigTakesDecidedPlanKnobsFromThePlan) {
+  RuntimeConfig cfg;
+  cfg.batch_size = 64;
+  cfg.pinned.set(Knob::kBatchSize);  // as RAMR_BATCH_SIZE=64 would
+  engine::PlanInfo plan;
+  plan.strategy = "pipelined";
+  plan.ratio = 3;
+  plan.batch_size = 512;  // the cache may not override a pinned knob
+  plan.source = "cache";
+  std::map<std::string, KnobSetting> by_env;
+  for (const KnobSetting& k : effective_config(cfg, plan)) by_env[k.env] = k;
+  ASSERT_EQ(by_env.size(), kKnobCount);
+  EXPECT_EQ(by_env["RAMR_RATIO"].value, "3");
+  EXPECT_EQ(by_env["RAMR_RATIO"].source, "cache");
+  EXPECT_EQ(by_env["RAMR_BATCH_SIZE"].value, "64");
+  EXPECT_EQ(by_env["RAMR_BATCH_SIZE"].source, "env");
+  EXPECT_EQ(by_env["RAMR_TASK_SIZE"].source, "default");
+}
+
 TEST(Exporters, RunReportMatchesGolden) {
   RunReport report;
   report.app = "mini";
   report.runtime = "ramr";
-  report.config_summary = "mappers=2 combiners=1";
+  report.effective_config = {{"RAMR_MAPPERS", "2", "env"},
+                             {"RAMR_BATCH_SIZE", "64", "probe"}};
   report.pmu_mode = "off";
   report.pmu_available = false;
   report.pmu_reason = "forced off";
@@ -362,7 +388,8 @@ TEST(Exporters, RunReportMatchesGolden) {
   run_report_json(out, report);
   const std::string kGolden =
       R"({"schema":"ramr-run-report-v1","app":"mini","runtime":"ramr",)"
-      R"("config":"mappers=2 combiners=1",)"
+      R"("effective_config":{"RAMR_MAPPERS":{"value":"2","source":"env"},)"
+      R"("RAMR_BATCH_SIZE":{"value":"64","source":"probe"}},)"
       R"("pmu":{"mode":"off","available":false,"reason":"forced off","active":false},)"
       R"("input_bytes":1024,)"
       R"("result":{"split_seconds":0.001,"map_combine_seconds":0.01,)"
