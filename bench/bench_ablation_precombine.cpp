@@ -1,13 +1,16 @@
 // Extension ablation: mapper-side pre-combining. The paper's losing apps
 // (HG, LR) lose to queue traffic — one record per input byte. A small
 // mapper-local coalescing buffer (RAMR_PRECOMBINE) collapses that traffic;
-// this bench quantifies the records actually pipelined and the native run
-// time with the buffer off and at several sizes, on the real runtime.
+// this bench quantifies the records actually pipelined with the buffer off
+// and at several sizes, on the pipelined strategy driven explicitly
+// (core::Runtime runs HG and LR fused: they combine in their map).
 #include <iostream>
 
 #include "apps/suite.hpp"
 #include "bench_util.hpp"
-#include "core/runtime.hpp"
+#include "engine/phase_driver.hpp"
+#include "engine/pool_set.hpp"
+#include "engine/strategy_pipelined.hpp"
 #include "topology/topology.hpp"
 
 using namespace ramr;
@@ -28,8 +31,10 @@ void run_row(stats::Table& table, const char* name, const App& app,
     cfg.pin_policy = PinPolicy::kOsDefault;
     cfg.batch_size = 256;
     cfg.precombine_slots = slots;
-    core::Runtime<App> rt(topo::host(), cfg);
-    const auto result = rt.run(app, input);
+    engine::PoolSet pools(topo::host(), cfg);
+    engine::PhaseDriver driver(pools, engine::driver_options_from(cfg));
+    engine::PipelinedSpsc<App> strategy;
+    const auto result = driver.run(strategy, app, input);
     if (slots == 0) base_pushes = static_cast<double>(result.queue_pushes);
     row.push_back(std::to_string(result.queue_pushes));
     row.push_back(stats::Table::fmt(

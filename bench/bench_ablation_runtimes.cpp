@@ -5,13 +5,17 @@
 //   * RAMR (decoupled): SPSC pipelines to combiner threads;
 //   * MRPhi-style (global): one atomically-accessed shared container.
 // Restricted to HG and LR — the a-priori-key-range apps the MRPhi design
-// admits (Sec. II).
+// admits (Sec. II). core::Runtime runs these two fused (they combine in
+// their map), so the decoupled column drives engine::PipelinedSpsc
+// explicitly.
 #include <iostream>
 
 #include "apps/global_apps.hpp"
 #include "apps/suite.hpp"
 #include "bench_util.hpp"
-#include "core/runtime.hpp"
+#include "engine/phase_driver.hpp"
+#include "engine/pool_set.hpp"
+#include "engine/strategy_pipelined.hpp"
 #include "mrphi/runtime.hpp"
 #include "phoenix/runtime.hpp"
 #include "stats/runstats.hpp"
@@ -38,7 +42,9 @@ void compare(stats::Table& table, const char* name, const App& app,
   rc.num_combiners = rc.num_mappers;
   rc.pin_policy = PinPolicy::kOsDefault;
   rc.batch_size = 256;
-  core::Runtime<App> decoupled(topo, rc);
+  engine::PoolSet decoupled_pools(topo, rc);
+  engine::PhaseDriver decoupled(decoupled_pools,
+                                engine::driver_options_from(rc));
 
   mrphi::Options mo;
   mo.pin_policy = PinPolicy::kOsDefault;
@@ -50,7 +56,8 @@ void compare(stats::Table& table, const char* name, const App& app,
   stats::RunStats t_global;
   for (std::size_t r = 0; r < reps; ++r) {
     t_fused.add(fused.run(app, input).timers.total());
-    t_decoupled.add(decoupled.run(app, input).timers.total());
+    engine::PipelinedSpsc<App> pipelined;
+    t_decoupled.add(decoupled.run(pipelined, app, input).timers.total());
     t_global.add(global.run(global_app, input).timers.total());
   }
   table.add_row({name, stats::Table::fmt(t_fused.mean() * 1e3, 2),

@@ -9,7 +9,8 @@
 // per input byte, so the SPSC-queue cost dominates under RAMR (Figs. 8/9
 // show a ~3x slowdown) — it is the negative control of the evaluation.
 // The simulator keeps that per-byte profile (perf/profiles.cpp); this
-// native map combines in-map and emits at most one record per bin.
+// native map combines in-map and emits at most one record per bin, so the
+// runtimes run it fused (mr::CombinesInMap).
 #pragma once
 
 #include <algorithm>
@@ -68,6 +69,7 @@ struct PixelInput {
 template <ContainerFlavor F, common::SplitSource Source = PixelInput>
 struct HistogramApp {
   static constexpr const char* kName = "hg";
+  static constexpr bool kCombinesInMap = true;  // <= 768 records per split
 
   using input_type = Source;
   using container_type = std::conditional_t<

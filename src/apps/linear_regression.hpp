@@ -9,7 +9,7 @@
 // 4-byte point): like HG it loses under RAMR with default containers
 // (~3.8x on Haswell) — the queue cost dominates its tiny per-element work.
 // The simulator keeps that profile; this native map emits five records per
-// split.
+// split, so the runtimes run it fused (mr::CombinesInMap).
 #pragma once
 
 #include <cstddef>
@@ -45,6 +45,7 @@ struct LrInput {
 template <ContainerFlavor F>
 struct LinearRegressionApp {
   static constexpr const char* kName = "lr";
+  static constexpr bool kCombinesInMap = true;  // 5 records per split
 
   using input_type = LrInput;
   using container_type = std::conditional_t<

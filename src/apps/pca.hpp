@@ -9,7 +9,8 @@
 // Paper Fig. 10: PCA has the highest IPB of the suite (O(rows^2) work per
 // column) but almost no stalls (regular, cache-friendly access), so RAMR
 // neither helps nor hurts it — map dominates and there is nothing to
-// overlap.
+// overlap. Both jobs combine in the task, so the runtimes run them fused
+// (mr::CombinesInMap).
 #pragma once
 
 #include <cstddef>
@@ -46,6 +47,7 @@ struct PcaInput {
 template <ContainerFlavor F>
 struct PcaMeanApp {
   static constexpr const char* kName = "pca-mean";
+  static constexpr bool kCombinesInMap = true;  // one record per row
 
   using input_type = PcaInput;
   using container_type = std::conditional_t<
@@ -85,6 +87,7 @@ struct PcaMeanApp {
 template <ContainerFlavor F>
 struct PcaCovApp {
   static constexpr const char* kName = "pca";
+  static constexpr bool kCombinesInMap = true;  // one record per row pair
 
   using input_type = PcaInput;
   // Default: fixed array over the packed triangle (keys known a priori).

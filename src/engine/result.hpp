@@ -96,7 +96,11 @@ struct PlanInfo {
   std::size_t batch_size = 0;
   std::size_t queue_capacity = 0;
   std::string pin_policy;
-  std::string source;  // "env" | "cache" | "probe" | "degraded" | "default"
+  // Who chose the plan: "env" (pinned knobs), "cache" / "probe" (the
+  // adaptive controller), "trait" (the app's kCombinesInMap trait picked
+  // fused at compile time), "degraded" (a service retry ladder step) or
+  // "default".
+  std::string source;
 
   // True when something other than the built-in defaults chose the plan —
   // the summary() line only mentions the plan then, so default runs keep

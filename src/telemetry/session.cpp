@@ -50,13 +50,15 @@ Session::Session(SessionOptions options)
 
 Session::~Session() = default;
 
-std::unique_ptr<Session> Session::from_config(const RuntimeConfig& config) {
+std::unique_ptr<Session> Session::from_config(const RuntimeConfig& config,
+                                              std::size_t num_mappers,
+                                              std::size_t num_combiners) {
   if (config.obs == ObsLevel::kOff) return nullptr;
   SessionOptions options;
   options.pmu = config.pmu_mode;
   options.sample_interval_us = config.sample_interval_us;
-  options.num_mappers = std::max<std::size_t>(1, config.num_mappers);
-  options.num_combiners = config.num_combiners;
+  options.num_mappers = std::max<std::size_t>(1, num_mappers);
+  options.num_combiners = num_combiners;
   return std::make_unique<Session>(options);
 }
 

@@ -96,9 +96,13 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  // nullptr when config.obs is off. Reads the resolved worker counts and
-  // the RAMR_PMU / RAMR_SAMPLE_US knobs mirrored into the config.
-  static std::unique_ptr<Session> from_config(const RuntimeConfig& config);
+  // nullptr when config.obs is off. Reads the RAMR_PMU / RAMR_SAMPLE_US
+  // knobs mirrored into the config; the per-worker metric slots are sized
+  // to the pools actually leased (a fused run's single pool may be wider
+  // than the config's mapper count).
+  static std::unique_ptr<Session> from_config(const RuntimeConfig& config,
+                                              std::size_t num_mappers,
+                                              std::size_t num_combiners);
 
   const SessionOptions& options() const { return options_; }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -408,6 +409,41 @@ TEST(AdaptE2E, OffModeRunsTheStaticPath) {
   EXPECT_FALSE(result.plan.decided());
   EXPECT_TRUE(result.governor_actions.empty());
   EXPECT_EQ(result.summary().find("plan="), std::string::npos);
+}
+
+// HG combines in its map: the plan is fused at compile time, so a cold
+// probe-mode run spends no input on probing and writes no cache entry, on
+// an input large enough that a non-trait app would probe.
+TEST(AdaptE2E, TraitAppSkipsProbeAndCache) {
+  const std::string cache = temp_path("adapt_trait.json");
+  const std::string report = temp_path("adapt_trait_report.json");
+  std::remove(cache.c_str());
+  std::remove(report.c_str());
+  RuntimeConfig cfg;
+  cfg.adapt_mode = AdaptMode::kProbe;
+  cfg.plan_cache_path = cache;
+  cfg.adapt_report_path = report;
+  cfg.pin_policy = PinPolicy::kOsDefault;
+  using App = apps::HistogramApp<apps::ContainerFlavor::kDefault>;
+  const apps::PixelInput input{apps::make_pixels(256 * 1024, 7), 1024};
+
+  core::Runtime<App> runtime(topo::host(), cfg);
+  const auto result = runtime.run(App{}, input);
+  EXPECT_EQ(result.plan.strategy, "fused");
+  EXPECT_EQ(result.plan.source, "trait");
+  const std::map<std::uint64_t, std::uint64_t> got(result.pairs.begin(),
+                                                   result.pairs.end());
+  EXPECT_EQ(got, apps::histogram_reference(input));
+  EXPECT_FALSE(std::ifstream(cache).good());
+
+  std::ifstream in(report);
+  ASSERT_TRUE(in.good());
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string doc = buf.str();
+  EXPECT_NE(doc.find("\"probe_splits_used\":0"), std::string::npos);
+  EXPECT_NE(doc.find("\"source\":\"trait\""), std::string::npos);
+  std::remove(report.c_str());
 }
 
 // Inputs too small to afford the calibration budget skip probing and run

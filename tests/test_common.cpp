@@ -126,6 +126,14 @@ TEST(Config, ResolveDerivesWorkersFromMachine) {
   EXPECT_EQ(r.num_combiners, 4u);
 }
 
+TEST(Config, DefaultShapeOnFourCpusLeavesOneCpuFree) {
+  // One group of (2+1)=3 threads on 4 CPUs: the fourth CPU stays free for
+  // the dual pool shape (docs/TUNING.md, "Default pool shape").
+  const RuntimeConfig r = RuntimeConfig{}.resolved(4);
+  EXPECT_EQ(r.num_mappers, 2u);
+  EXPECT_EQ(r.num_combiners, 1u);
+}
+
 TEST(Config, ResolveDerivesCombinersFromRatio) {
   RuntimeConfig cfg;
   cfg.num_mappers = 9;

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "apps/histogram.hpp"
+#include "apps/inputs.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "core/runtime.hpp"
@@ -231,6 +233,23 @@ TEST(Zipf, ProfilerOnWhenObservabilitySet) {
   EXPECT_TRUE(contains(result.summary(), "skew:"));
   // Profiling must not perturb the answer.
   EXPECT_TRUE(pairs_match(result.pairs, app.reference(input)));
+}
+
+// HG combines in its map, so it runs fused on a single pool whose config
+// the pool set synthesizes: RAMR_OBS=full must still reach the driver.
+TEST(Zipf, ProfilerOnForAFusedTraitRun) {
+  RuntimeConfig cfg;
+  cfg.pin_policy = PinPolicy::kOsDefault;
+  cfg.obs = ObsLevel::kFull;
+  using App = apps::HistogramApp<apps::ContainerFlavor::kDefault>;
+  const apps::PixelInput input{apps::make_pixels(200000, 3), 1024};
+
+  core::Runtime<App> runtime(topo::make_server("obs-test", 1, 2, 2), cfg);
+  const auto result = runtime.run(App{}, input);
+  EXPECT_EQ(result.plan.strategy, "fused");
+  EXPECT_TRUE(result.skew.enabled);
+  EXPECT_GE(result.skew.map_imbalance, 1.0);
+  EXPECT_TRUE(contains(result.summary(), "skew:"));
 }
 
 // ---------- scheduler plane --------------------------------------------------

@@ -289,30 +289,46 @@ TEST(ParallelSort, WorkerCountLargerThanInput) {
 }
 
 namespace {
-// Minimal mergeable container for tree-merge tests.
+// Minimal mergeable container for tree-merge tests; `entries` is what
+// size() reports, and each merge records the thread it ran on.
 struct Bag {
   std::uint64_t sum = 0;
-  std::size_t merges = 0;
+  std::size_t entries = 0;
+  std::vector<std::thread::id> merged_on;
+  std::size_t size() const { return entries; }
   void merge_from(const Bag& other) {
     sum += other.sum;
-    ++merges;
+    merged_on.push_back(std::this_thread::get_id());
   }
 };
 }  // namespace
 
 TEST(ParallelTreeMerge, CombinesEverythingIntoSlotZero) {
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    for (std::size_t count : {1u, 2u, 3u, 7u, 8u, 16u, 33u}) {
-      ThreadPool pool(workers);
-      std::vector<Bag> bags(count);
-      std::uint64_t expected = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        bags[i].sum = i + 1;
-        expected += i + 1;
+  // 1 entry per bag stays under the 4096-entry floor (merged on the
+  // caller); 5000 per bag goes over it (merged on the pool).
+  for (std::size_t entries : {1u, 5000u}) {
+    for (std::size_t workers : {1u, 2u, 4u}) {
+      for (std::size_t count : {1u, 2u, 3u, 7u, 8u, 16u, 33u}) {
+        ThreadPool pool(workers);
+        std::vector<Bag> bags(count);
+        std::uint64_t expected = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+          bags[i].sum = i + 1;
+          bags[i].entries = entries;
+          expected += i + 1;
+        }
+        parallel_tree_merge(pool, bags);
+        EXPECT_EQ(bags[0].sum, expected)
+            << "entries=" << entries << " workers=" << workers
+            << " count=" << count;
+        if (entries * count < 4096) {
+          for (const Bag& b : bags) {
+            for (const std::thread::id id : b.merged_on) {
+              EXPECT_EQ(id, std::this_thread::get_id());
+            }
+          }
+        }
       }
-      parallel_tree_merge(pool, bags);
-      EXPECT_EQ(bags[0].sum, expected)
-          << "workers=" << workers << " count=" << count;
     }
   }
 }

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "apps/histogram.hpp"
+#include "apps/inputs.hpp"
 #include "common/config.hpp"
 #include "common/env.hpp"
 #include "core/runtime.hpp"
@@ -276,6 +278,32 @@ TEST(Scheduler, WarmPoolParityWithRunOnce) {
   // Parity with the one-shot path on the same app and input.
   const auto oneshot = core::run_once(app, input, job_config(2, 1));
   EXPECT_TRUE(pairs_match(oneshot.pairs, reference));
+}
+
+// HG combines in its map: the job runs fused on one single-pool set over
+// its leased cores (plan source "trait"); no rings, no dual set.
+TEST(Scheduler, TraitAppRunsFusedOnTheLeasedCores) {
+  Scheduler::Options opts;
+  opts.max_concurrent_jobs = 1;
+  Scheduler sched(small_server(), opts);
+  using App = apps::HistogramApp<apps::ContainerFlavor::kDefault>;
+  const apps::PixelInput input{apps::make_pixels(100000, 11), 2048};
+
+  JobSpec spec;
+  spec.name = "hg";
+  spec.cores = 4;
+  spec.config.pin_policy = PinPolicy::kOsDefault;
+  auto [id, future] = sched.submit(spec, App{}, input);
+  const JobReport r = sched.wait(id);
+  ASSERT_EQ(r.status, JobStatus::kDone) << r.error;
+  EXPECT_NE(r.plan.summary().find("plan=fused src=trait"), std::string::npos)
+      << r.plan.summary();
+  const auto result = future.get();
+  EXPECT_EQ(result.queue_pushes, 0u);
+  const std::map<std::uint64_t, std::uint64_t> got(result.pairs.begin(),
+                                                   result.pairs.end());
+  EXPECT_EQ(got, apps::histogram_reference(input));
+  EXPECT_EQ(sched.depot().stats().built, 1u);
 }
 
 TEST(Scheduler, ShutdownCancelsQueuedJobs) {

@@ -14,9 +14,12 @@
 #include <utility>
 #include <vector>
 
+#include "apps/histogram.hpp"
+#include "apps/inputs.hpp"
 #include "common/config.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "core/runtime.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -213,15 +216,41 @@ TEST(Pmu, PoolWithNoThreadsIsNotMeasuring) {
 
 TEST(SessionTest, FromConfigIsNullWhenTelemetryOff) {
   RuntimeConfig cfg;
-  EXPECT_EQ(Session::from_config(cfg), nullptr);
+  EXPECT_EQ(Session::from_config(cfg, 2, 1), nullptr);
   cfg.obs = ObsLevel::kMetrics;
   cfg.pmu_mode = PmuMode::kOff;
-  cfg.num_mappers = 2;
-  cfg.num_combiners = 1;
-  auto session = Session::from_config(cfg);
+  auto session = Session::from_config(cfg, 2, 1);
   ASSERT_NE(session, nullptr);
   EXPECT_EQ(session->pmu_mode(), PmuMode::kOff);
   EXPECT_EQ(session->options().num_mappers, 2u);
+}
+
+// HG combines in its map, so core::Runtime runs it fused on one pool of
+// every CPU: wider than the config's resolved mapper count (4 of 8 CPUs).
+// Each worker's metric slot must exist in the session (ASan catches one
+// that does not).
+TEST(SessionTest, FusedRunSizesTheSessionToTheLeasedPool) {
+  env::ScopedOverride obs("RAMR_OBS", "metrics");
+  env::ScopedOverride pmu("RAMR_PMU", "off");
+  RuntimeConfig cfg = RuntimeConfig::from_env();
+  cfg.pin_policy = PinPolicy::kOsDefault;
+  const topo::Topology topo = topo::make_server("telemetry-fused", 1, 4, 2);
+  ASSERT_EQ(topo.num_logical(), 8u);
+  using App = apps::HistogramApp<apps::ContainerFlavor::kDefault>;
+  const apps::PixelInput input{apps::make_pixels(200000, 5), 1024};
+  core::Runtime<App> rt(topo, cfg);
+  const auto r = rt.run(App{}, input);
+
+  EXPECT_EQ(r.plan.strategy, "fused");
+  Session* session = rt.telemetry();
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(session->options().num_mappers, 8u);
+  EXPECT_EQ(session->options().num_combiners, 0u);
+  EXPECT_EQ(session->engine_metrics()->tasks_executed->total(),
+            r.tasks_executed);
+  const std::map<std::uint64_t, std::uint64_t> got(r.pairs.begin(),
+                                                   r.pairs.end());
+  EXPECT_EQ(got, apps::histogram_reference(input));
 }
 
 TEST(SessionTest, ForcedPmuOffFallsBackToTheModel) {
