@@ -37,10 +37,6 @@ concept RangedContainer = requires(const Ct& c) {
                       const typename Ct::value_type&) {});
 };
 
-// Below this many index slots the two parallel regions cost more than the
-// serial walk they replace (same spirit as parallel_sort's 4096 floor).
-inline constexpr std::size_t kParallelCollectFloor = 4096;
-
 template <typename Ct>
 std::vector<std::pair<typename Ct::key_type, typename Ct::value_type>>
 collect_pairs(sched::ThreadPool& pool, const Ct& container) {
@@ -49,7 +45,7 @@ collect_pairs(sched::ThreadPool& pool, const Ct& container) {
                 std::is_default_constructible_v<Pair>) {
     const std::size_t total = container.index_count();
     const std::size_t workers = pool.size();
-    if (workers >= 2 && total >= kParallelCollectFloor) {
+    if (workers >= 2 && total >= sched::kParallelFloor) {
       std::vector<std::size_t> counts(workers, 0);
       sched::parallel_for_ranges(
           pool, total, [&](std::size_t w, std::size_t lo, std::size_t hi) {

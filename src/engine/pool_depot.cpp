@@ -59,15 +59,14 @@ PoolDepot::Lease PoolDepot::acquire(const topo::Topology& topology,
 
 PoolDepot::Lease PoolDepot::acquire_single(const topo::Topology& topology,
                                            std::size_t num_workers,
-                                           PinPolicy policy) {
+                                           const RuntimeConfig& config) {
   const std::string key =
-      PoolSet::shape_key_single(topology, num_workers, policy);
+      PoolSet::shape_key_single(topology, num_workers, config.pin_policy);
   if (std::unique_ptr<PoolSet> warm = take(key)) {
-    // The single shape synthesizes its config from (workers, policy), both
-    // part of the key — nothing to rebind.
+    warm->rebind(config);
     return Lease(this, key, std::move(warm), true);
   }
-  auto cold = std::make_unique<PoolSet>(topology, num_workers, policy);
+  auto cold = std::make_unique<PoolSet>(topology, num_workers, config);
   {
     std::lock_guard lock(mutex_);
     ++stats_.built;

@@ -103,9 +103,11 @@ class PoolDepot {
   // configs, warm or cold.
   Lease acquire(const topo::Topology& topology, const RuntimeConfig& config);
 
-  // Single-pool (fused) shape; `num_workers` 0 = one per logical CPU.
+  // Single-pool (fused) shape; `num_workers` 0 = one per logical CPU. The
+  // set carries `config` (resolved), pinned by its pin_policy; a warm set
+  // is rebound to it.
   Lease acquire_single(const topo::Topology& topology,
-                       std::size_t num_workers, PinPolicy policy);
+                       std::size_t num_workers, const RuntimeConfig& config);
 
   Stats stats() const;
 

@@ -668,6 +668,7 @@ void Scheduler::run_job(const std::shared_ptr<Job>& job) {
     error_ep = nullptr;
   } else {
     job->warm = ctx.warm_;
+    job->combines_in_map = ctx.combines_in_map_;
     job->plan = ctx.plan_;
     job->run_summary = ctx.run_summary_;
     job->error_ep = error_ep;
@@ -725,10 +726,17 @@ void Scheduler::requeue_locked(const std::shared_ptr<Job>& job) {
 
 // One rung further down the graceful-degradation ladder, consumed by the
 // retry that follows: pipelined -> fused, then half the core ask, then the
-// memory subsystem off. Each step is recorded on the report.
+// memory subsystem off. Each step is recorded on the report. A trait app
+// (mr::CombinesInMap) already runs fused on a single pool that builds no
+// memory layer, so it skips the strategy and memory rungs: they would rerun
+// the same plan.
 void Scheduler::apply_degrade_locked(Job& job) {
   ++job.degrade_level;
   ++stats_.degraded;
+  if (job.combines_in_map &&
+      (job.degrade_level == 1 || job.degrade_level == 3)) {
+    ++job.degrade_level;
+  }
   switch (job.degrade_level) {
     case 1:
       job.degrade_fused = true;

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <vector>
 
 #include "apps/suite.hpp"
 #include "common/env.hpp"
 #include "core/runtime.hpp"
 #include "phoenix/runtime.hpp"
+#include "pipelined.hpp"
 #include "spsc/lamport.hpp"
 #include "topology/topology.hpp"
 
@@ -31,15 +33,22 @@ TEST(Integration, FullEnvKnobSetDrivesARealRun) {
   env::ScopedOverride g("RAMR_BACKOFF", "sleep");
   env::ScopedOverride h("RAMR_SLEEP_US", "10");
 
-  PixelInput input{make_pixels(50000, 1), 2048};
-  const HistogramApp<ContainerFlavor::kDefault> app;
-  core::Runtime<HistogramApp<ContainerFlavor::kDefault>> rt(
+  // WC runs the decoupled pipeline, so the ring knobs reach the run (HG,
+  // LR and PCA run fused by their kCombinesInMap trait).
+  const TextInput input{make_text(50000, 300, 1), 2048};
+  const WordCountApp<ContainerFlavor::kDefault> app;
+  core::Runtime<WordCountApp<ContainerFlavor::kDefault>> rt(
       topo::host(), RuntimeConfig::from_env());
   EXPECT_EQ(rt.config().num_mappers, 3u);
   EXPECT_EQ(rt.config().num_combiners, 2u);
   EXPECT_EQ(rt.config().batch_size, 16u);
   const auto result = rt.run(app, input);
-  const auto ref = histogram_reference(input);
+  EXPECT_EQ(result.plan.strategy, "pipelined");
+  EXPECT_EQ(result.plan.source, "env");
+  EXPECT_EQ(result.plan.batch_size, 16u);
+  EXPECT_EQ(result.plan.queue_capacity, 128u);
+  EXPECT_GT(result.queue_pushes, 0u);
+  const auto ref = wordcount_reference(input);
   ASSERT_EQ(result.pairs.size(), ref.size());
   for (const auto& [k, v] : result.pairs) EXPECT_EQ(v, ref.at(k));
 }
@@ -202,10 +211,17 @@ void expect_equivalent(const App& app, const Input& input) {
   cfg.batch_size = 64;
   core::Runtime<App> ramr(topo::host(), cfg);
   const auto a = baseline.run(app, input);
-  const auto b = ramr.run(app, input);
-  ASSERT_EQ(a.pairs.size(), b.pairs.size());
-  for (std::size_t i = 0; i < a.pairs.size(); ++i) {
-    EXPECT_EQ(a.pairs[i].first, b.pairs[i].first) << "index " << i;
+  std::vector<mr::result_of<App>> runs;
+  runs.push_back(ramr.run(app, input));
+  // core::Runtime runs a trait app fused: compare the pipeline explicitly.
+  if constexpr (mr::CombinesInMap<App>) {
+    runs.push_back(testing::run_pipelined(app, input, cfg));
+  }
+  for (const auto& b : runs) {
+    ASSERT_EQ(a.pairs.size(), b.pairs.size());
+    for (std::size_t i = 0; i < a.pairs.size(); ++i) {
+      EXPECT_EQ(a.pairs[i].first, b.pairs[i].first) << "index " << i;
+    }
   }
 }
 

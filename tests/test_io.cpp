@@ -30,6 +30,7 @@
 #include "io/io_config.hpp"
 #include "io/stream_feeder.hpp"
 #include "io/stream_input.hpp"
+#include "pipelined.hpp"
 #include "service/scheduler.hpp"
 #include "topology/topology.hpp"
 
@@ -253,13 +254,27 @@ TEST(StreamingParity, HistogramRotationSurvivesWindowCuts) {
   const auto ref = apps::histogram_reference({pixels, 1024});
 
   // 1000-byte window: not a multiple of 3, so the rotation is exercised.
-  const auto result = apps::run_histogram_stream(
-      path, stream_options(io::IoMode::kMmap, 1000, 300));
-  std::map<std::uint64_t, std::uint64_t> got;
-  for (const auto& [k, v] : result.pairs) {
-    if (v != 0) got[k] += v;
-  }
-  EXPECT_EQ(got, ref);
+  const StreamOptions opts = stream_options(io::IoMode::kMmap, 1000, 300);
+  const auto binned = [](const auto& pairs) {
+    std::map<std::uint64_t, std::uint64_t> got;
+    for (const auto& [k, v] : pairs) {
+      if (v != 0) got[k] += v;
+    }
+    return got;
+  };
+  EXPECT_EQ(binned(apps::run_histogram_stream(path, opts).pairs), ref);
+
+  // The same stream through the decoupled pipeline (core::Runtime runs HG
+  // fused by its trait).
+  io::StreamInput input(opts.io, opts.split_bytes);
+  io::StreamFeeder feeder(io::open_chunk_source(path, opts.io, nullptr),
+                          input, opts.io);
+  const apps::HistogramApp<apps::ContainerFlavor::kDefault, io::StreamInput>
+      app;
+  const auto piped =
+      testing::run_pipelined_stream(app, input, feeder, opts.config);
+  EXPECT_GT(piped.queue_pushes, 0u);
+  EXPECT_EQ(binned(piped.pairs), ref);
 }
 
 // Seeded prose for the sweep: mixed-case words, some with punctuation

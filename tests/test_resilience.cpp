@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/suite.hpp"
 #include "common/cancellation.hpp"
 #include "common/config.hpp"
 #include "common/env.hpp"
@@ -151,6 +152,40 @@ TEST(Degrade, LadderStepsFusedThenCoresThenMem) {
   EXPECT_EQ(r.plan.source, "degraded");
   ASSERT_EQ(r.cores.size(), 3u);
   EXPECT_EQ(sched.stats().degraded, 3u);
+}
+
+TEST(Degrade, TraitAppLadderSkipsTheStrategyAndMemRungs) {
+  // HG already runs fused on a single pool with no memory layer: a failed
+  // attempt goes straight to the core step, then to a plain retry.
+  Scheduler sched(small_server());
+  using App = apps::HistogramApp<apps::ContainerFlavor::kDefault>;
+  const apps::PixelInput input{apps::make_pixels(20000, 43), 2048};
+  std::atomic<std::size_t> calls{0};
+
+  JobSpec spec;
+  spec.name = "trait-ladder";
+  spec.cores = 6;
+  spec.config.pin_policy = PinPolicy::kOsDefault;
+  spec.max_retries = 5;
+  const JobId id = sched.submit(spec, [&](JobContext& ctx) {
+    const std::size_t call = calls.fetch_add(1);
+    const auto result = ctx.run(App{}, input);
+    EXPECT_EQ(result.plan.strategy, "fused");
+    if (call < 2) throw ConfigError("synthetic plan failure");
+    EXPECT_EQ(ctx.lease().size(), 3u);
+    const std::map<std::uint64_t, std::uint64_t> got(result.pairs.begin(),
+                                                     result.pairs.end());
+    EXPECT_EQ(got, apps::histogram_reference(input));
+  });
+
+  const JobReport r = sched.wait(id);
+  EXPECT_EQ(r.status, JobStatus::kDone) << r.describe();
+  EXPECT_EQ(r.attempts, 3u);
+  ASSERT_EQ(r.degraded_steps.size(), 2u);
+  EXPECT_EQ(r.degraded_steps[0], "cores=6->3");
+  EXPECT_EQ(r.degraded_steps[1], "retry");
+  EXPECT_EQ(r.plan.source, "degraded");
+  EXPECT_EQ(sched.stats().degraded, 2u);
 }
 
 // ---------- circuit breaker --------------------------------------------------
