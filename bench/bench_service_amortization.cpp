@@ -1,7 +1,7 @@
 // Service-mode amortization: a stream of identical MapReduce jobs executed
-// (a) cold — a fresh core::Runtime per job, paying thread spawn + pinning +
-// arena setup every time — and (b) through a persistent service::Scheduler
-// whose PoolDepot serves every job after the first from a warm pool set.
+// (a) cold — a fresh core::Runtime per job, paying thread spawn + pinning
+// every time — and (b) through a persistent service::Scheduler whose
+// PoolDepot serves every job after the first from a warm pool set.
 //
 // Wall-clock numbers are host-dependent (this is a native bench, like
 // bench_native_runtime); the pool-construction accounting at the end is

@@ -1,9 +1,8 @@
 // Microbenchmarks of the SPSC ring: a deterministic producer-batching
 // counter study (control-variable traffic of try_push_batch vs element-wise
-// try_push, the Sec. III-A batching argument applied to the producer side),
-// a placed-vs-heap slot-storage section (RAMR_MEM page backing), and the
-// google-benchmark micro harness (push/pop cost, batched consume, dynamic
-// queue baseline) from the paper's SPSC selection study.
+// try_push, the Sec. III-A batching argument applied to the producer side)
+// and the google-benchmark micro harness (push/pop cost, batched consume,
+// dynamic queue baseline) from the paper's SPSC selection study.
 //
 // `--json[=path]` mirrors the deterministic sections into
 // BENCH_spsc_queue.json (ramr-bench-v1) via bench_util.
@@ -18,13 +17,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "mem/layer.hpp"
-#include "mem/pages.hpp"
 #include "spsc/dynamic_queue.hpp"
 #include "spsc/lamport.hpp"
 #include "spsc/ring.hpp"
-#include "topology/pinning.hpp"
-#include "topology/topology.hpp"
 
 namespace {
 
@@ -148,41 +143,6 @@ void producer_batching_study() {
   ramr::bench::print(bp);
 }
 
-void placed_storage_study() {
-  ramr::bench::banner(
-      "Ring slot storage: heap vs RAMR_MEM page-backed placement",
-      "Sec. III-A static allocation rationale");
-  const auto topo = ramr::topo::host();
-  const auto plan =
-      ramr::topo::make_plan(topo, ramr::PinPolicy::kOsDefault, 2, 1);
-  ramr::stats::Table table(
-      {"storage", "slot bytes", "mapped", "hugepage", "node-bound"});
-
-  {
-    Ring<std::uint64_t> heap_ring(65536);
-    table.add_row({"heap (default)",
-                   std::to_string(heap_ring.capacity() * sizeof(std::uint64_t)),
-                   "-", "-", "-"});
-  }
-  for (const ramr::MemMode mode :
-       {ramr::MemMode::kArena, ramr::MemMode::kNuma}) {
-    ramr::mem::MemoryLayer layer(mode, topo, plan);
-    {
-      Ring<std::uint64_t> placed(65536, layer.ring_storage(
-                                            layer.node_of_combiner(0)));
-      placed.prefault();
-    }
-    const ramr::mem::LayerStats stats = layer.end_run();
-    const auto& caps = ramr::mem::page_caps();
-    table.add_row({"placed mode=" + stats.mode,
-                   std::to_string(std::size_t{65536} * sizeof(std::uint64_t)),
-                   caps.mmap_ok ? "yes" : "no",
-                   stats.hugepages ? "yes" : "no",
-                   stats.mbind ? "yes" : "no"});
-  }
-  ramr::bench::print(table);
-}
-
 // ---------- google-benchmark micro harness -----------------------------------
 
 void BM_RingPushPop(benchmark::State& state) {
@@ -196,29 +156,6 @@ void BM_RingPushPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RingPushPop)->Arg(64)->Arg(5000)->Arg(65536);
-
-// Same round-trip on a RAMR_MEM-placed slot array (huge pages when the host
-// grants them) — the placed-vs-heap wall-clock companion of the table above.
-void BM_RingPushPopPlaced(benchmark::State& state) {
-  const auto topo = ramr::topo::host();
-  const auto plan =
-      ramr::topo::make_plan(topo, ramr::PinPolicy::kOsDefault, 2, 1);
-  ramr::mem::MemoryLayer layer(ramr::MemMode::kArena, topo, plan);
-  {
-    Ring<std::uint64_t> ring(static_cast<std::size_t>(state.range(0)),
-                             layer.ring_storage(-1));
-    ring.prefault();
-    std::uint64_t v = 0;
-    std::uint64_t out = 0;
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(ring.try_push(v++));
-      benchmark::DoNotOptimize(ring.try_pop(out));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  }
-  layer.end_run();
-}
-BENCHMARK(BM_RingPushPopPlaced)->Arg(5000)->Arg(65536);
 
 void BM_RingBatchedConsume(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
@@ -375,7 +312,6 @@ BENCHMARK(BM_DynamicQueuePushPop)->Arg(5000);
 int main(int argc, char** argv) {
   ramr::bench::init(argc, argv, "spsc_queue");
   producer_batching_study();
-  placed_storage_study();
 
   std::vector<char*> bench_args;
   for (int i = 0; i < argc; ++i) {

@@ -6,7 +6,7 @@ include(CMakePackageConfigHelpers)
 
 set(RAMR_LIBRARIES
   ramr_common ramr_simd ramr_faults ramr_trace ramr_telemetry ramr_stats ramr_spsc
-  ramr_topology ramr_mem ramr_sched ramr_containers ramr_engine ramr_io ramr_adapt
+  ramr_topology ramr_sched ramr_containers ramr_engine ramr_io ramr_adapt
   ramr_service ramr_phoenix ramr_mrphi ramr_core ramr_perf ramr_apps
   ramr_synth ramr_sim)
 

@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   std::cout << "service demo on " << topo.name() << " ("
             << topo.num_logical() << " logical CPUs)\n\n";
 
-  // --- Cold baseline: a fresh Runtime (thread spawn + pin + arenas) per
+  // --- Cold baseline: a fresh Runtime (thread spawn + pin) per
   // iteration, the way a batch client would issue independent invocations.
   KmInput input = make_input();
   std::vector<double> cold_seconds;

@@ -15,7 +15,7 @@
 //   sleep cap     in [1, 10'000'000] us       — producer backoff ladders
 //                 re-read the cap per sleep;
 //   emit batch    in [1, queue_capacity / 2]  — only when the run started
-//                 with producer batching on (RAMR_MEM-era emit buffer) and
+//                 with producer batching on (RAMR_EMIT_BATCH > 0) and
 //                 the knob is not pinned via RAMR_EMIT_BATCH; mappers
 //                 re-read it per buffered emit, never mid-flush.
 //

@@ -42,9 +42,6 @@ constexpr Named<AdaptMode> kAdaptModes[] = {
     {"off", AdaptMode::kOff},     {"0", AdaptMode::kOff},
     {"no", AdaptMode::kOff},      {"probe", AdaptMode::kProbe},
     {"full", AdaptMode::kFull},   {"on", AdaptMode::kFull}};
-constexpr Named<MemMode> kMemModes[] = {
-    {"off", MemMode::kOff}, {"0", MemMode::kOff}, {"no", MemMode::kOff},
-    {"arena", MemMode::kArena}, {"numa", MemMode::kNuma}};
 constexpr Named<io::IoMode> kIoModes[] = {
     {"off", io::IoMode::kOff}, {"0", io::IoMode::kOff},
     {"no", io::IoMode::kOff},  {"mmap", io::IoMode::kMmap},
@@ -119,8 +116,7 @@ void for_each_knob(Config& c, Visit&& v) {
      "mapper-side coalescing buffer slots (0 = off)"},
     c.precombine_slots, Uint{0, 1'048'576});
   v({Knob::kEmitBatch, "RAMR_EMIT_BATCH", kRun,
-     "records per batched producer publish (0 = element-wise; unset with "
-     "`RAMR_MEM` on = min(32, capacity/2))"},
+     "records per batched producer publish (0 = element-wise)"},
     c.emit_batch, Uint{0, 1'000'000});
   // Robustness (src/faults/, engine/health.hpp).
   v({Knob::kTaskRetries, "RAMR_TASK_RETRIES", kRun,
@@ -135,13 +131,6 @@ void for_each_knob(Config& c, Visit&& v) {
   v({Knob::kFaults, "RAMR_FAULTS", kRun,
      "fault-injection spec, e.g. `map_task=3,seed=7` (tests, chaos runs)"},
     c.fault_spec, Text{});
-  // Memory subsystem (src/mem/, docs/ARCHITECTURE.md §11).
-  v({Knob::kMem, "RAMR_MEM", kRun,
-     "memory placement: heap, per-thread arenas, or arenas + NUMA binding"},
-    c.mem_mode, kMemModes);
-  v({Knob::kHugePages, "RAMR_HUGEPAGES", kRun,
-     "allow MADV_HUGEPAGE on placed blocks (`off` forces small pages)"},
-    c.hugepages, Flag{});
   // Streaming input (src/io/, docs/ARCHITECTURE.md §15).
   v({Knob::kIo, "RAMR_IO", kRun,
      "streaming input: slurp, sliding mmap windows, or O_DIRECT reads"},
@@ -210,6 +199,9 @@ struct Retired {
 constexpr Retired kRetired[] = {
     {"RAMR_TELEMETRY", "RAMR_OBS=metrics"},
     {"RAMR_SLEEP_ON_FULL", "RAMR_BACKOFF=busy (or =sleep)"},
+    {"RAMR_MEM", "RAMR_EMIT_BATCH=32 (rings and emit buffers use the heap)"},
+    {"RAMR_HUGEPAGES",
+     "the system's transparent-huge-page setting (rings use the heap)"},
 };
 
 // ---- per-domain parse / print / describe ------------------------------------
@@ -368,7 +360,6 @@ std::string to_string(SplitDistribution distribution) {
 
 std::string to_string(BackoffKind kind) { return name_of(kBackoffKinds, kind); }
 std::string to_string(AdaptMode mode) { return name_of(kAdaptModes, mode); }
-std::string to_string(MemMode mode) { return name_of(kMemModes, mode); }
 std::string to_string(ObsLevel level) { return name_of(kObsLevels, level); }
 std::string to_string(PmuMode mode) { return name_of(kPmuModes, mode); }
 std::string io::to_string(io::IoMode mode) { return name_of(kIoModes, mode); }
@@ -478,15 +469,6 @@ RuntimeConfig RuntimeConfig::resolved(std::size_t hardware_threads) const {
     throw ConfigError("emit batch " + std::to_string(r.emit_batch) +
                       " exceeds queue capacity " +
                       std::to_string(r.queue_capacity));
-  }
-  if (r.emit_batch == 0 && r.mem_mode != MemMode::kOff &&
-      !r.pinned[Knob::kEmitBatch]) {
-    // Producer-side batching rides along with the memory subsystem by
-    // default (the emit buffer is the arena's primary client); an explicit
-    // RAMR_EMIT_BATCH=0 opts out.
-    r.emit_batch =
-        std::min<std::size_t>(32, std::max<std::size_t>(1,
-                                                        r.queue_capacity / 2));
   }
   if (r.backoff == BackoffKind::kExponential &&
       r.sleep_cap_micros < r.sleep_micros) {

@@ -66,19 +66,6 @@ enum class AdaptMode {
 
 std::string to_string(AdaptMode mode);
 
-// Memory-subsystem mode (src/mem/): off = every allocation goes to the
-// default heap exactly as before (zero code run; one pointer check per
-// site), arena = per-thread bump arenas + huge-page-backed ring storage,
-// numa = arena + node-local placement (first-touch prefault by each ring's
-// consumer, mbind of arenas/rings to the owner's node when available).
-enum class MemMode {
-  kOff,
-  kArena,
-  kNuma,
-};
-
-std::string to_string(MemMode mode);
-
 // Observability level (RAMR_OBS). Each level includes the one below it:
 // metrics = the telemetry session (metric registry, PMU phase counters,
 // sampler, exporters); full = metrics plus the observability plane
@@ -106,10 +93,10 @@ enum class Knob : std::size_t {
   kMappers, kCombiners, kRatio, kTaskSize, kQueueCapacity, kBatchSize,
   kPinPolicy, kSplitDistribution, kSleepMicros, kBackoff, kSleepCapMicros,
   kPrecombine, kEmitBatch, kTaskRetries, kDeadlineMs, kStallMs, kFaults,
-  kMem, kHugePages, kIo, kIoWindow, kIoDepth, kObs, kPmu, kSampleMicros,
-  kMetricsPath, kFlightEvents, kAdapt, kPlanCache, kAdaptReport, kService,
-  kServiceJobs, kServiceQueue, kServiceRetries, kHedgeFactor, kBreakerK,
-  kShedWatermark, kCount
+  kIo, kIoWindow, kIoDepth, kObs, kPmu, kSampleMicros, kMetricsPath,
+  kFlightEvents, kAdapt, kPlanCache, kAdaptReport, kService, kServiceJobs,
+  kServiceQueue, kServiceRetries, kHedgeFactor, kBreakerK, kShedWatermark,
+  kCount
 };
 
 inline constexpr std::size_t kKnobCount =
@@ -200,18 +187,6 @@ struct RuntimeConfig {
   // zero-cost). Test/chaos-only knob.
   std::string fault_spec;
 
-  // ---- memory-subsystem knobs (see src/mem/, docs/ARCHITECTURE.md §11) ---
-
-  // Off keeps every allocation on the default heap; arena/numa build a
-  // mem::MemoryLayer in the PoolSet (placed arenas + huge-page ring
-  // storage; numa adds node-local binding and consumer-side first touch).
-  MemMode mem_mode = MemMode::kOff;
-
-  // Whether the memory layer may advise MADV_HUGEPAGE on its blocks
-  // (false forces the small-page fallback: fallback testing / operator
-  // escape hatch).
-  bool hugepages = true;
-
   // ---- streaming input (see src/io/, docs/ARCHITECTURE.md §15) -----------
 
   // Source mode, window size and in-flight window budget of streamed runs.
@@ -250,8 +225,8 @@ struct RuntimeConfig {
 
   // Keeps resolved pool sets resident in the process-wide
   // engine::PoolDepot, so consecutive Runtime instances (and run_once
-  // calls) of the same shape lease warm pools — threads, pins, and arenas
-  // survive across invocations — instead of re-spawning them.
+  // calls) of the same shape lease warm pools — threads and pins survive
+  // across invocations — instead of re-spawning them.
   bool service_mode = false;
 
   // service::Scheduler admission and resilience knobs, copied by

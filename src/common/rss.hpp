@@ -1,7 +1,6 @@
 // Process-wide peak resident set size, for the memory high-water line in
 // RunResult / the run report. Stamped at the end of every run so the
-// streaming-IO flat-memory claim is checkable from artifacts even when
-// RAMR_MEM is off.
+// streaming-IO flat-memory claim is checkable from artifacts.
 #pragma once
 
 #include <cstddef>

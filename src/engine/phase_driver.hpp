@@ -45,7 +45,6 @@
 #include "engine/result.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
-#include "mem/layer.hpp"
 #include "sched/parallel_sort.hpp"
 #include "sched/task_queue.hpp"
 #include "simd/kernels.hpp"
@@ -404,21 +403,6 @@ class PhaseDriver {
     phase_end(Phase::kMerge);
     throw_if_aborted();
 
-    // Memory-subsystem run boundary: reset every worker arena wholesale
-    // (the pools are joined, nobody is allocating) and stamp the layer's
-    // outcome into the result. No-op when RAMR_MEM is off.
-    if (mem::MemoryLayer* ml = pools_.memory()) {
-      const mem::LayerStats ls = ml->end_run();
-      result.mem.mode = ls.mode;
-      result.mem.arena_high_water = ls.arena_high_water;
-      result.mem.arena_chunk_bytes = ls.arena_chunk_bytes;
-      result.mem.arena_resets = ls.arena_resets;
-      result.mem.ring_bytes = ls.ring_bytes;
-      result.mem.ring_reuses = ls.ring_reuses;
-      result.mem.hugepages = ls.hugepages;
-      result.mem.mbind = ls.mbind;
-    }
-
     // Stamp the plan this run executed under (satellite of the adaptive
     // controller: every result now records strategy + knobs + provenance).
     {
@@ -441,9 +425,8 @@ class PhaseDriver {
       result.dispatch.isa = common::to_string(sa.isa);
     }
 
-    // Memory high-water, stamped unconditionally (one syscall): the
-    // streaming path's flat-memory claim is checkable from the run report
-    // even with RAMR_MEM off.
+    // Memory high-water, stamped on every run (one syscall): the streaming
+    // path's flat-memory claim is checkable from the run report.
     result.peak_rss_bytes = common::peak_rss_bytes();
     return result;
   }

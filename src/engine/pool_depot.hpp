@@ -1,15 +1,13 @@
 // PoolDepot — a registry of warm PoolSets, leased out per run.
 //
 // The paper pins threads "throughout the MR invocation", but a one-shot
-// Runtime still pays pool construction (thread spawn + setaffinity), the
-// pinning plan, and arena setup on every instantiation — wrong for a
-// resident runtime serving a stream of jobs, where setup/teardown dominates
-// small and iterative work. The depot converts those per-run costs into
+// Runtime still pays pool construction (thread spawn + setaffinity) and the
+// pinning plan on every instantiation — wrong for a resident runtime serving
+// a stream of jobs, where setup/teardown dominates small and iterative work. The depot converts those per-run costs into
 // per-shape costs: a finished run returns its PoolSet to the idle shelf
 // instead of destroying it, and the next acquisition of the same structural
 // shape (see PoolSet::shape_key) gets the warm set back — threads alive,
-// pins held, arenas and recycled ring blocks in place — with only a
-// rebind() of the per-run knobs.
+// pins held — with only a rebind() of the per-run knobs.
 //
 // Concurrency: acquisitions remove the set from the shelf, so two live
 // leases never alias one PoolSet — concurrent jobs on disjoint leased core
@@ -71,8 +69,7 @@ class PoolDepot {
     PoolSet& pools() { return *set_; }
     const PoolSet& pools() const { return *set_; }
 
-    // True when this lease was served warm (no thread spawn, no pinning,
-    // no arena construction).
+    // True when this lease was served warm (no thread spawn, no pinning).
     bool warm() const { return warm_; }
 
     // Return the set to the depot now (also done by the destructor).

@@ -68,9 +68,7 @@ std::string PoolSet::shape_key(const topo::Topology& topology,
   return topology.name() + "/" + std::to_string(topology.num_logical()) +
          "|dual|m=" + std::to_string(resolved.num_mappers) +
          "|c=" + std::to_string(resolved.num_combiners) +
-         "|pin=" + to_string(resolved.pin_policy) +
-         "|mem=" + to_string(resolved.mem_mode) +
-         (resolved.hugepages ? "" : "|nohuge");
+         "|pin=" + to_string(resolved.pin_policy);
 }
 
 std::string PoolSet::shape_key_single(const topo::Topology& topology,
@@ -119,12 +117,6 @@ PoolSet::PoolSet(topo::Topology topology, const RuntimeConfig& config)
   combiner_pool_ =
       std::make_unique<sched::ThreadPool>(cfg_.num_combiners, combiner_pins_);
   num_groups_ = topo_.num_sockets();
-  // RAMR_MEM: the memory layer lives with the pools because placement is a
-  // property of (plan, topology) — the strategies reach it via memory().
-  if (cfg_.mem_mode != MemMode::kOff) {
-    memory_ = std::make_unique<mem::MemoryLayer>(cfg_.mem_mode, topo_, plan_,
-                                                 cfg_.hugepages);
-  }
 }
 
 namespace {

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "mem/layer.hpp"
 #include "sched/thread_pool.hpp"
 #include "topology/pinning.hpp"
 #include "topology/topology.hpp"
@@ -71,8 +70,7 @@ class PoolSet {
   // Single-pool shape. `num_workers` 0 = one worker per logical CPU.
   // Throws ConfigError when the topology has no CPUs to derive from. The
   // set carries `config` (the caller's resolved knobs, pinned by its
-  // pin_policy) with num_mappers = the worker count and num_combiners = 0;
-  // no memory layer is built, whatever its mem_mode says.
+  // pin_policy) with num_mappers = the worker count and num_combiners = 0.
   PoolSet(topo::Topology topology, std::size_t num_workers,
           const RuntimeConfig& config);
 
@@ -83,7 +81,7 @@ class PoolSet {
   PoolSet& operator=(const PoolSet&) = delete;
 
   // Structural identity of a pool set: everything whose change would force
-  // the thread pools, pins, or memory layer to be rebuilt. Two resolved
+  // the thread pools or pins to be rebuilt. Two resolved
   // configs with equal shape keys can share one warm PoolSet — rebind()
   // swaps the per-run knobs (batch size, backoff, task size, ...) that the
   // strategies read through config(). The key is what PoolDepot shelves
@@ -96,7 +94,7 @@ class PoolSet {
   const std::string& shape() const { return shape_; }
 
   // Re-aim a warm set at a new resolved config of the same shape; threads,
-  // pins, plan and arenas are untouched. The single shape keeps its worker
+  // pins and plan are untouched. The single shape keeps its worker
   // count (num_mappers) and num_combiners = 0. Throws ConfigError when the
   // shape differs.
   void rebind(const RuntimeConfig& resolved);
@@ -132,11 +130,6 @@ class PoolSet {
   // pinned CPU when placement is known, round-robin otherwise.
   std::size_t group_of_mapper(std::size_t m) const;
 
-  // The RAMR_MEM memory layer (per-worker arenas, placed ring storage);
-  // nullptr when mem_mode is off — every engine allocation site checks
-  // this one pointer and takes the historical heap path when null.
-  mem::MemoryLayer* memory() const { return memory_.get(); }
-
   // The pin each thread was requested to run on (std::nullopt = unpinned);
   // exposed so tests can verify policy resolution without digging into the
   // OS. Pins that fail on a small host degrade silently to unpinned.
@@ -156,7 +149,6 @@ class PoolSet {
   std::vector<std::optional<std::size_t>> combiner_pins_;
   std::unique_ptr<sched::ThreadPool> mapper_pool_;
   std::unique_ptr<sched::ThreadPool> combiner_pool_;
-  std::unique_ptr<mem::MemoryLayer> memory_;
   std::size_t num_groups_ = 1;
 };
 

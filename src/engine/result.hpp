@@ -19,36 +19,6 @@
 
 namespace ramr::engine {
 
-// Memory-subsystem outcome of one run (RAMR_MEM; see src/mem/). An empty
-// mode means the subsystem was off — summary() and the run report then
-// print nothing, keeping default output byte-identical.
-struct MemStats {
-  std::string mode;                  // "" (off) | "arena" | "numa"
-  std::size_t arena_high_water = 0;  // deepest worker arena (bytes)
-  std::size_t arena_chunk_bytes = 0; // arena backing storage held (bytes)
-  std::size_t arena_resets = 0;      // wholesale resets so far
-  std::size_t ring_bytes = 0;        // placed ring slot storage (bytes)
-  std::size_t ring_reuses = 0;       // ring blocks recycled from spares
-  bool hugepages = false;            // some block got MADV_HUGEPAGE
-  bool mbind = false;                // some block was node-bound
-
-  bool enabled() const { return !mode.empty(); }
-
-  std::string summary() const {
-    std::string s = "mem=" + mode +
-                    " arena_hw=" + std::to_string(arena_high_water) +
-                    " arena_bytes=" + std::to_string(arena_chunk_bytes) +
-                    " arena_resets=" + std::to_string(arena_resets);
-    if (ring_bytes > 0) s += " ring_bytes=" + std::to_string(ring_bytes);
-    // Nonzero only when a warm pool set re-ran (service mode / depot reuse);
-    // one-shot runs keep their historical line.
-    if (ring_reuses > 0) s += " ring_reuse=" + std::to_string(ring_reuses);
-    s += std::string(" huge=") + (hugepages ? "yes" : "no") + " mbind=" +
-         (mbind ? "yes" : "no");
-    return s;
-  }
-};
-
 // Streaming-input outcome of one run (RAMR_IO; see src/io/). An empty mode
 // means the run was fed by a materialized input, not an IO-lane source —
 // summary() and the run report then print nothing, keeping default output
@@ -202,18 +172,13 @@ struct RunResult {
   PlanInfo plan;
   std::vector<GovernorAction> governor_actions;
 
-  // Memory-subsystem stats; enabled() is false (and nothing is printed)
-  // unless RAMR_MEM was on.
-  MemStats mem;
-
   // Streaming-input stats; enabled() only when the run was fed by an
   // IO-lane source (RAMR_IO / PhaseDriver::run_stream).
   IoStats io;
 
   // Process-wide peak RSS (bytes) sampled as the run finishes — always
   // stamped (getrusage is one syscall) so the flat-memory claim of the
-  // streaming path is checkable from the run report even with RAMR_MEM
-  // off. Deliberately absent from summary(): it is monotonic across a
+  // streaming path is checkable from the run report. Deliberately absent from summary(): it is monotonic across a
   // process, so the console line would drift between otherwise identical
   // runs; consumers read it from the report's "memory" object.
   std::size_t peak_rss_bytes = 0;
@@ -263,9 +228,6 @@ struct RunResult {
     }
     // Streaming-IO stats only when an IO-lane source fed the run.
     if (io.enabled()) s += " " + io.summary();
-    // Memory stats only when RAMR_MEM was on; the default line stays
-    // byte-stable.
-    if (mem.enabled()) s += " " + mem.summary();
     // Skew profile only under RAMR_OBS=full.
     if (skew.enabled) s += " " + skew.summary();
     s += " " + dispatch.summary();

@@ -44,8 +44,6 @@
 #include "engine/emit_strategy.hpp"
 #include "engine/precombine.hpp"
 #include "engine/result.hpp"
-#include "mem/arena.hpp"
-#include "mem/layer.hpp"
 #include "sched/parallel_sort.hpp"
 #include "spsc/backoff.hpp"
 #include "spsc/ring.hpp"
@@ -76,23 +74,11 @@ class PipelinedSpsc {
 
     // One ring per mapper (single producer); each combiner drains a
     // disjoint ring set (single consumer) — SPSC suffices (Sec. III-A).
-    // With the memory layer on, slot storage is placed for the ring's
-    // *consumer*: huge-page-backed, and in numa mode bound to the node of
-    // the combiner that drains it (the consumer reads every slot; the
-    // producer writes each one once).
-    mem::MemoryLayer* memlayer = ctx.pools.memory();
     rings_.clear();
     rings_.reserve(cfg.num_mappers);
     for (std::size_t m = 0; m < cfg.num_mappers; ++m) {
-      if (memlayer != nullptr) {
-        const int node =
-            memlayer->node_of_combiner(plan.combiner_of_mapper(m));
-        rings_.push_back(std::make_unique<spsc::Ring<Record>>(
-            cfg.queue_capacity, memlayer->ring_storage(node)));
-      } else {
-        rings_.push_back(
-            std::make_unique<spsc::Ring<Record>>(cfg.queue_capacity));
-      }
+      rings_.push_back(
+          std::make_unique<spsc::Ring<Record>>(cfg.queue_capacity));
     }
     combiner_containers_.clear();
     combiner_containers_.reserve(cfg.num_combiners);
@@ -228,12 +214,13 @@ class PipelinedSpsc {
       trace::Lane* lane = ctl.lane;
       telemetry::EngineMetrics* tm = ctl.metrics;
       std::size_t executed = 0;
+      std::vector<Record> emit_buf;
       // `emit` feeds records toward the ring — directly, or staged through
       // the emit buffer when producer batching is on; the per-task hook
       // flushes the pre-combining and emit buffers so the combiners keep
       // receiving data at task granularity (an idle/stalling mapper never
       // sits on buffered records).
-      auto run_with = [&](auto backoff, auto& emit_buf) {
+      auto run_with = [&](auto backoff) {
         backoff.bind(&ctx.cancel.flag());
         if constexpr (requires { backoff.bind_cap(nullptr); }) {
           if (ctx.tuning != nullptr) {
@@ -328,45 +315,26 @@ class PipelinedSpsc {
           tm->backoff_sleeps->add(m, backoff.sleep_count());
         }
       };
-      auto dispatch = [&](auto& emit_buf) {
+      try {
+        // Reserving the governor's upper clamp up front keeps the emit
+        // buffer from reallocating mid-phase.
+        if (emit_init > 0) {
+          emit_buf.reserve(std::max(
+              emit_init, std::max<std::size_t>(1, cfg.queue_capacity / 2)));
+        }
         switch (cfg.backoff) {
           case BackoffKind::kBusyWait:
-            run_with(spsc::BusyWaitBackoff{}, emit_buf);
+            run_with(spsc::BusyWaitBackoff{});
             break;
           case BackoffKind::kExponential:
             run_with(spsc::ExponentialSleepBackoff(
-                         std::chrono::microseconds(cfg.sleep_micros),
-                         std::chrono::microseconds(cfg.sleep_cap_micros)),
-                     emit_buf);
+                std::chrono::microseconds(cfg.sleep_micros),
+                std::chrono::microseconds(cfg.sleep_cap_micros)));
             break;
           case BackoffKind::kSleep:
             run_with(spsc::SleepBackoff(
-                         std::chrono::microseconds(cfg.sleep_micros)),
-                     emit_buf);
+                std::chrono::microseconds(cfg.sleep_micros)));
             break;
-        }
-      };
-      // Reserving the governor's upper clamp up front keeps an
-      // arena-backed buffer from abandoning grown-out blocks
-      // (ArenaAllocator never reclaims) and the heap one from reallocating
-      // mid-phase.
-      const std::size_t emit_cap =
-          emit_init == 0
-              ? 0
-              : std::max(emit_init, std::max<std::size_t>(
-                                        1, cfg.queue_capacity / 2));
-      try {
-        if (memlayer != nullptr) {
-          // KV records staged in this mapper's arena: node-local in numa
-          // mode, reclaimed wholesale by the layer's end-of-run reset.
-          std::vector<Record, mem::ArenaAllocator<Record>> emit_buf(
-              mem::ArenaAllocator<Record>(&memlayer->mapper_arena(m)));
-          emit_buf.reserve(emit_cap);
-          dispatch(emit_buf);
-        } else {
-          std::vector<Record> emit_buf;
-          emit_buf.reserve(emit_cap);
-          dispatch(emit_buf);
         }
       } catch (const common::CancelledError&) {
         // Cooperative unwind: a peer failed or a watchdog verdict landed.
@@ -398,26 +366,8 @@ class PipelinedSpsc {
         // mirrored live on the full-ring path above.
         tm->queue_pushes->add(m, ring.producer_stats().pushes);
         tm->queue_push_batches->add(m, ring.producer_stats().push_batches);
-        if (memlayer != nullptr) {
-          tm->arena_high_water->set(
-              m, static_cast<double>(
-                     memlayer->mapper_arena(m).stats().high_water));
-        }
       }
     };
-
-    // Consumer-side first-touch: in numa mode each combiner touches its
-    // rings' slot pages before the pipeline starts, so the kernel backs
-    // them on the consumer's node (this complements the mbind hint, and is
-    // the whole placement mechanism when mbind is unavailable). Blocking
-    // pass — no producer has pushed yet, so prefault cannot race.
-    if (memlayer != nullptr && memlayer->placement()) {
-      ctx.pools.combiner_pool().run_on_all([&](std::size_t j) {
-        for (std::size_t m : plan.mappers_of_combiner[j]) {
-          rings_[m]->prefault();
-        }
-      });
-    }
 
     ctx.pools.combiner_pool().start(combiner_job);
     ctx.pools.mapper_pool().start(mapper_job);

@@ -1,6 +1,6 @@
 // Optional gzip stage for the streaming-input subsystem (zlib).
 //
-// Capability-probed like the PMU and hugepage layers: when the build found
+// Capability-probed like the PMU layer: when the build found
 // zlib, gzip_supported() is true and ".gz" inputs stream straight through
 // an inflate ByteReader into the copying window source; without zlib the
 // probe is false and opening a .gz input throws a clear Error instead of

@@ -11,7 +11,7 @@
 //          the window budget, never the file size;
 //   direct O_DIRECT double-buffered reads on the IO lane, falling back to
 //          buffered + posix_fadvise where the filesystem refuses O_DIRECT
-//          (the PMU/hugepage capability-probe convention).
+//          (the PMU capability-probe convention).
 //
 // RAMR_IO_WINDOW bounds one window's bytes and RAMR_IO_DEPTH the in-flight
 // window budget, so the streaming working set is window_bytes × depth

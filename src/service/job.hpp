@@ -123,7 +123,7 @@ struct JobReport {
   std::size_t attempts = 0;
 
   // Degradation-ladder steps applied across retries, in order (e.g.
-  // "strategy=fused", "cores=8->4", "mem=off").
+  // "strategy=fused", "cores=8->4", "retry").
   std::vector<std::string> degraded_steps;
 
   // Hedged execution: non-zero marks this report as the hedge twin of job

@@ -725,18 +725,13 @@ void Scheduler::requeue_locked(const std::shared_ptr<Job>& job) {
 }
 
 // One rung further down the graceful-degradation ladder, consumed by the
-// retry that follows: pipelined -> fused, then half the core ask, then the
-// memory subsystem off. Each step is recorded on the report. A trait app
-// (mr::CombinesInMap) already runs fused on a single pool that builds no
-// memory layer, so it skips the strategy and memory rungs: they would rerun
-// the same plan.
+// retry that follows: pipelined -> fused, then half the core ask. Each step
+// is recorded on the report. A trait app (mr::CombinesInMap) already runs
+// fused, so it skips the strategy rung: it would rerun the same plan.
 void Scheduler::apply_degrade_locked(Job& job) {
   ++job.degrade_level;
   ++stats_.degraded;
-  if (job.combines_in_map &&
-      (job.degrade_level == 1 || job.degrade_level == 3)) {
-    ++job.degrade_level;
-  }
+  if (job.combines_in_map && job.degrade_level == 1) ++job.degrade_level;
   switch (job.degrade_level) {
     case 1:
       job.degrade_fused = true;
@@ -755,10 +750,6 @@ void Scheduler::apply_degrade_locked(Job& job) {
       job.spec.config.num_combiners = 0;
       break;
     }
-    case 3:
-      job.spec.config.mem_mode = MemMode::kOff;
-      job.degraded_steps.push_back("mem=off");
-      break;
     default:
       // Ladder exhausted: further retries rerun the safest plan as-is.
       job.degraded_steps.push_back("retry");

@@ -9,8 +9,7 @@
 //     concurrent jobs never share a logical CPU;
 //   * an engine::PoolDepot — the pool sets a job builds over its leased
 //     sub-topology are parked warm when the job finishes, and the next job
-//     on the same core set reuses them (threads alive, pins held, arenas
-//     and ring blocks recycled);
+//     on the same core set reuses them (threads alive, pins held);
 //   * a FIFO queue with admission control — at most queue_depth jobs wait;
 //     a submit beyond that (or asking for more cores than the topology
 //     has) is rejected immediately, never silently dropped;
@@ -33,11 +32,10 @@
 //     up to Options::max_retries / JobSpec::max_retries attempts;
 //   * degradation ladder — a retry after a watchdog abort (deadline/stall)
 //     or a strategy ConfigError runs under a safer plan: first forced
-//     FusedCombine (no rings to back up), then half the core ask, then
-//     RAMR_MEM off; each step is recorded in JobReport::degraded_steps and
-//     the run's plan provenance becomes "degraded". An mr::CombinesInMap
-//     app already runs fused on a single pool with no memory layer, so its
-//     ladder is only the core step;
+//     FusedCombine (no rings to back up), then half the core ask; each step
+//     is recorded in JobReport::degraded_steps and the run's plan
+//     provenance becomes "degraded". An mr::CombinesInMap app already runs
+//     fused on a single pool, so its ladder is only the core step;
 //   * hedged execution — when a running job exceeds hedge_factor × its
 //     app's EWMA runtime (AppStats), and the queue is empty with spare
 //     cores free, a duplicate launches beyond the concurrency cap; the

@@ -44,19 +44,6 @@ struct ProducerStats {
   std::size_t head_refreshes = 0; // acquire reloads of the consumer's head
 };
 
-// External slot-array allocator hook: lets a memory subsystem place the
-// slot storage (huge pages, NUMA binding) without this header depending on
-// it. Both function pointers must be set; `ctx` is passed through verbatim
-// and must outlive the Ring. The returned block must be at least `bytes`
-// large and `align`-aligned.
-struct SlotStorage {
-  void* (*alloc)(std::size_t bytes, std::size_t align, void* ctx) = nullptr;
-  void (*dealloc)(void* data, std::size_t bytes, void* ctx) = nullptr;
-  void* ctx = nullptr;
-
-  explicit operator bool() const { return alloc != nullptr; }
-};
-
 struct ConsumerStats {
   std::size_t pops = 0;          // elements successfully consumed
   std::size_t failed_pops = 0;   // try_pop/consume calls that found it empty
@@ -74,25 +61,13 @@ class Ring {
   // index wrapping). One slot is *not* sacrificed: occupancy is derived from
   // monotonically increasing head/tail, so all `capacity_pow2` slots hold
   // data. Throws ConfigError for capacity < 2.
-  explicit Ring(std::size_t capacity) : Ring(capacity, SlotStorage{}) {}
-
-  // Places the slot array through `storage` (see SlotStorage) instead of
-  // the default heap; the RAMR_MEM subsystem uses this for huge-page /
-  // node-bound backing. A null storage falls back to aligned operator new.
-  Ring(std::size_t capacity, SlotStorage storage)
-      : capacity_(round_up_pow2(capacity)),
-        mask_(capacity_ - 1),
-        storage_(storage) {
+  explicit Ring(std::size_t capacity)
+      : capacity_(round_up_pow2(capacity)), mask_(capacity_ - 1) {
     if (capacity < 2) {
       throw ConfigError("Ring capacity must be >= 2");
     }
-    if (storage_) {
-      slots_ = static_cast<T*>(storage_.alloc(capacity_ * sizeof(T),
-                                              alignof(T), storage_.ctx));
-    } else {
-      slots_ = static_cast<T*>(::operator new[](
-          capacity_ * sizeof(T), std::align_val_t(alignof(T))));
-    }
+    slots_ = static_cast<T*>(::operator new[](
+        capacity_ * sizeof(T), std::align_val_t(alignof(T))));
   }
 
   ~Ring() {
@@ -102,13 +77,8 @@ class Ring {
     for (std::size_t i = head; i != tail; ++i) {
       slots_[i & mask_].~T();
     }
-    if (storage_) {
-      storage_.dealloc(static_cast<void*>(slots_), capacity_ * sizeof(T),
-                       storage_.ctx);
-    } else {
-      ::operator delete[](static_cast<void*>(slots_),
-                          std::align_val_t(alignof(T)));
-    }
+    ::operator delete[](static_cast<void*>(slots_),
+                        std::align_val_t(alignof(T)));
   }
 
   Ring(const Ring&) = delete;
@@ -274,20 +244,6 @@ class Ring {
   }
   bool empty() const { return size() == 0; }
 
-  // First-touch placement hook: touches every page of the slot array so
-  // the kernel backs it on the calling thread's NUMA node. Must run on the
-  // CONSUMER thread (the side that reads every slot) BEFORE the producer's
-  // first push, and must not race either side — the engine calls it from
-  // a blocking pre-phase pass on the combiner pool.
-  void prefault() {
-    auto* bytes = reinterpret_cast<volatile unsigned char*>(slots_);
-    const std::size_t total = capacity_ * sizeof(T);
-    for (std::size_t off = 0; off < total; off += 4096) {
-      bytes[off] = 0;
-    }
-    if (total > 0) bytes[total - 1] = 0;
-  }
-
  private:
   static std::size_t round_up_pow2(std::size_t v) {
     if (v < 2) return 2;
@@ -310,7 +266,6 @@ class Ring {
 
   const std::size_t capacity_;
   const std::size_t mask_;
-  SlotStorage storage_{};
   T* slots_ = nullptr;
 
   // Consumer-owned line: head plus the consumer's cached copy of tail.

@@ -231,13 +231,10 @@ void run_report_json(std::ostream& out, const RunReport& report) {
           static_cast<std::uint64_t>(report.result.task_aborts));
   w.end_object();
 
-  // Plan provenance; emitted whenever the result carries *any* stamped
-  // subsystem state — not just a named strategy — so a mem-only run still
-  // reports its plan.source uniformly (consumers saw the object vanish when
-  // adapt was off but RAMR_MEM was on; schema note in
-  // docs/OBSERVABILITY.md). Hand-built reports with neither stay as-is so
-  // their goldens are unchanged.
-  if (!report.result.plan.strategy.empty() || report.result.mem.enabled()) {
+  // Plan provenance; emitted whenever the driver stamped a strategy.
+  // Hand-built reports without one stay as-is so their goldens are
+  // unchanged.
+  if (!report.result.plan.strategy.empty()) {
     const engine::PlanInfo& plan = report.result.plan;
     w.begin_object("plan");
     w.field("strategy", plan.strategy);
@@ -252,27 +249,11 @@ void run_report_json(std::ostream& out, const RunReport& report) {
   }
   // Memory outcome: always emitted, because peak_rss_bytes is stamped on
   // every run — the streaming path's flat-memory claim must be checkable
-  // from any report, RAMR_MEM or not. The arena/ring fields still appear
-  // only when the memory subsystem was actually on.
-  {
-    const engine::MemStats& mem = report.result.mem;
-    w.begin_object("memory");
-    w.field("peak_rss_bytes",
-            static_cast<std::uint64_t>(report.result.peak_rss_bytes));
-    if (mem.enabled()) {
-      w.field("mode", mem.mode);
-      w.field("arena_high_water",
-              static_cast<std::uint64_t>(mem.arena_high_water));
-      w.field("arena_chunk_bytes",
-              static_cast<std::uint64_t>(mem.arena_chunk_bytes));
-      w.field("arena_resets", static_cast<std::uint64_t>(mem.arena_resets));
-      w.field("ring_bytes", static_cast<std::uint64_t>(mem.ring_bytes));
-      w.field("ring_reuses", static_cast<std::uint64_t>(mem.ring_reuses));
-      w.field("hugepages", mem.hugepages);
-      w.field("mbind", mem.mbind);
-    }
-    w.end_object();
-  }
+  // from any report.
+  w.begin_object("memory");
+  w.field("peak_rss_bytes",
+          static_cast<std::uint64_t>(report.result.peak_rss_bytes));
+  w.end_object();
   // Hot-path dispatch provenance (the map-kernel table).
   w.begin_object("dispatch");
   w.field("simd_path", report.result.dispatch.simd_path);

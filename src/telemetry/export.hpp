@@ -89,10 +89,8 @@ struct RunInfo {
   engine::PlanInfo plan;
   std::vector<engine::GovernorAction> governor_actions;
 
-  // Memory-subsystem outcome. The report always emits a "memory" object —
-  // peak_rss_bytes is stamped on every run — but the arena/ring fields
-  // inside it appear only when mem.enabled() (RAMR_MEM was on).
-  engine::MemStats mem;
+  // Process-wide peak RSS; the report always emits it in a "memory"
+  // object, because it is stamped on every run.
   std::size_t peak_rss_bytes = 0;
 
   // Streaming-input outcome; io.enabled() is false (and the report emits
@@ -128,7 +126,6 @@ RunInfo make_run_info(const engine::RunResult<K, V>& r) {
   info.task_aborts = r.task_aborts;
   info.plan = r.plan;
   info.governor_actions = r.governor_actions;
-  info.mem = r.mem;
   info.peak_rss_bytes = r.peak_rss_bytes;
   info.io = r.io;
   info.skew = r.skew;

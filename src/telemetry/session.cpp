@@ -41,7 +41,6 @@ Session::Session(SessionOptions options)
   engine_metrics_.batch_sizes = &registry_.histogram("batch_sizes");
   engine_metrics_.queue_max_occupancy =
       &registry_.gauge("queue_max_occupancy");
-  engine_metrics_.arena_high_water = &registry_.gauge("arena_high_water");
   if (options_.sample_interval_us > 0) {
     sampler_ = std::make_unique<Sampler>(
         std::chrono::microseconds(options_.sample_interval_us));

@@ -74,7 +74,6 @@ struct EngineMetrics {
   Counter* task_aborts = nullptr;
   Histogram* batch_sizes = nullptr;
   Gauge* queue_max_occupancy = nullptr;
-  Gauge* arena_high_water = nullptr;  // per-worker arena live bytes (mem on)
 
   std::size_t combiner_slot(std::size_t j) const {
     return combiner_slot_base + j;

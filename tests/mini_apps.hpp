@@ -13,7 +13,7 @@
 #include "containers/combiners.hpp"
 #include "containers/fixed_array_container.hpp"
 #include "containers/hash_container.hpp"
-#include "phoenix/app_model.hpp"
+#include "engine/app_model.hpp"
 
 namespace ramr::testing {
 

@@ -169,6 +169,12 @@ TEST(Config, ResolveRejectsBatchLargerThanQueue) {
   EXPECT_THROW(cfg.resolved(8), ConfigError);
 }
 
+TEST(Config, EmitBatchAboveCapacityIsRejected) {
+  RuntimeConfig cfg;
+  cfg.emit_batch = cfg.queue_capacity + 1;
+  EXPECT_THROW(cfg.resolved(8), ConfigError);
+}
+
 TEST(Config, ResolveRejectsZeroTaskSize) {
   RuntimeConfig cfg;
   cfg.num_mappers = 2;
@@ -196,7 +202,7 @@ TEST(Config, PinPolicyRoundTrip) {
 // ---------- the knob table ---------------------------------------------------
 
 // Unsets every table knob (and the retired names) for the scope, so the
-// ambient environment — CI runs the suite under RAMR_MEM=arena — cannot
+// ambient environment — CI runs the suite under RAMR_EMIT_BATCH=16 — cannot
 // leak into a test that checks defaults.
 class KnobEnvCleared {
  public:
@@ -204,6 +210,8 @@ class KnobEnvCleared {
     for (const KnobInfo& k : knob_table()) save(k.env);
     save("RAMR_TELEMETRY");
     save("RAMR_SLEEP_ON_FULL");
+    save("RAMR_MEM");
+    save("RAMR_HUGEPAGES");
   }
   ~KnobEnvCleared() {
     for (const auto& [name, value] : saved_) {
@@ -373,6 +381,9 @@ TEST(KnobTable, RetiredKnobsNameTheirReplacement) {
       {"RAMR_TELEMETRY", "1", "RAMR_OBS=metrics"},
       {"RAMR_TELEMETRY", "0", "RAMR_OBS=metrics"},
       {"RAMR_SLEEP_ON_FULL", "0", "RAMR_BACKOFF=busy"},
+      {"RAMR_MEM", "arena", "RAMR_EMIT_BATCH=32"},
+      {"RAMR_MEM", "off", "RAMR_EMIT_BATCH=32"},
+      {"RAMR_HUGEPAGES", "off", "transparent-huge-page"},
   };
   for (const auto& c : cases) {
     env::ScopedOverride o(c.name, c.value);

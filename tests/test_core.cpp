@@ -9,8 +9,8 @@
 #include "common/config.hpp"
 #include "common/env.hpp"
 #include "common/rng.hpp"
-#include "core/precombine.hpp"
 #include "core/runtime.hpp"
+#include "engine/precombine.hpp"
 #include "mini_apps.hpp"
 #include "phoenix/runtime.hpp"
 #include "topology/topology.hpp"
@@ -18,6 +18,7 @@
 namespace ramr::core {
 namespace {
 
+using engine::PrecombineBuffer;
 using testing::make_lines;
 using testing::make_numbers;
 using testing::ModCountApp;

@@ -4,6 +4,7 @@
 // mini apps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -43,20 +44,18 @@ TEST(PoolSet, SinglePoolOsDefaultLeavesEveryWorkerUnpinned) {
 
 TEST(PoolSet, SinglePoolCarriesTheCallersKnobsAndRebindsThem) {
   // A fused run stamps its plan from config(), so the single shape keeps
-  // the caller's knobs; it builds no memory layer whatever mem_mode says.
+  // the caller's knobs.
   RuntimeConfig cfg;
   cfg.pin_policy = PinPolicy::kOsDefault;
   cfg.batch_size = 32;
   cfg.queue_capacity = 256;
   cfg.obs = ObsLevel::kFull;
-  cfg.mem_mode = MemMode::kArena;
   PoolSet pools(topo::fig3_example(), 6, cfg);
   EXPECT_EQ(pools.config().num_mappers, 6u);
   EXPECT_EQ(pools.config().num_combiners, 0u);
   EXPECT_EQ(pools.config().batch_size, 32u);
   EXPECT_EQ(pools.config().queue_capacity, 256u);
   EXPECT_EQ(pools.config().obs, ObsLevel::kFull);
-  EXPECT_EQ(pools.memory(), nullptr);
 
   RuntimeConfig next = cfg;
   next.batch_size = 64;
@@ -238,6 +237,51 @@ TEST(PhaseDriver, CombinerThrowAbortsBlockedMappersAndStaysReusable) {
   EXPECT_EQ(result.pairs.size(), 4u);
 }
 
+// A mapper failure mid-phase with batched emit on: the failing worker's
+// unwind path must flush/discard its buffer without hanging the combiner
+// or the peer mapper (the cancel token interrupts a blocked flush).
+struct FailingModApp {
+  using input_type = std::vector<std::uint64_t>;
+  using container_type = ModCountApp::container_type;
+
+  ModCountApp inner;
+
+  std::size_t num_splits(const input_type& in) const {
+    return inner.num_splits(in);
+  }
+  container_type make_container() const { return inner.make_container(); }
+
+  template <typename Emit>
+  void map(const input_type& in, std::size_t split, Emit&& emit) const {
+    const std::size_t begin = split * inner.chunk;
+    const std::size_t end = std::min(begin + inner.chunk, in.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      if (in[i] == 777) {
+        throw Error("injected map failure");
+      }
+      emit(in[i] % inner.buckets, std::uint64_t{1});
+    }
+  }
+};
+
+TEST(PhaseDriver, MapFailureUnderBatchedEmitJoinsCleanly) {
+  RuntimeConfig cfg = tiny_dual_config();  // tiny ring: producers block
+  cfg.emit_batch = 4;
+  PoolSet pools(topo::host(), cfg);
+  PhaseDriver driver(pools);
+  PipelinedSpsc<FailingModApp> strategy;
+  auto input = make_numbers(50000, 3);
+  input[input.size() / 2] = 777;  // poison one split mid-stream
+  EXPECT_THROW(driver.run(strategy, FailingModApp{}, input), Error);
+
+  // The same pools run clean work afterwards.
+  PhaseDriver driver2(pools);
+  PipelinedSpsc<ModCountApp> ok;
+  const auto small = make_numbers(2000, 5);
+  const auto result = driver2.run(ok, ModCountApp{}, small);
+  EXPECT_TRUE(pairs_match(result.pairs, ModCountApp{}.reference(small)));
+}
+
 TEST(PhaseDriver, FusedStrategyPropagatesMapExceptions) {
   PoolSet pools(topo::host(), 2, PinPolicy::kOsDefault);
   PhaseDriver driver(pools);
@@ -312,6 +356,29 @@ TEST(Engine, AllThreeStrategiesProduceIdenticalPairs) {
   EXPECT_GT(pipelined_result.queue_pushes, 0u);
   EXPECT_EQ(atomic_result.queue_pushes, 0u);
   EXPECT_DOUBLE_EQ(atomic_result.timers.seconds(Phase::kReduce), 0.0);
+}
+
+RunResult<std::uint64_t, std::uint64_t> run_mod_count_pipelined(
+    std::size_t emit_batch) {
+  RuntimeConfig cfg = tiny_dual_config();
+  cfg.queue_capacity = 64;
+  cfg.batch_size = 8;
+  cfg.emit_batch = emit_batch;
+  PoolSet pools(topo::host(), cfg);
+  PhaseDriver driver(pools);
+  PipelinedSpsc<ModCountApp> strategy;
+  const auto input = make_numbers(20000, 42);
+  return driver.run(strategy, ModCountApp{}, input);
+}
+
+TEST(Engine, BatchedEmitMatchesElementWiseResults) {
+  const auto element_wise = run_mod_count_pipelined(0);
+  const auto batched = run_mod_count_pipelined(16);
+  ASSERT_EQ(batched.pairs.size(), element_wise.pairs.size());
+  EXPECT_EQ(batched.pairs, element_wise.pairs);
+  // Batched emit actually engaged, and only when asked for.
+  EXPECT_GT(batched.queue_push_batches, 0u);
+  EXPECT_EQ(element_wise.queue_push_batches, 0u);
 }
 
 // ---------- trace wiring for every strategy --------------------------------------

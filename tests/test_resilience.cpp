@@ -120,7 +120,7 @@ TEST(Retry, SpecBudgetOverridesSchedulerDefault) {
 
 // ---------- graceful-degradation ladder -------------------------------------
 
-TEST(Degrade, LadderStepsFusedThenCoresThenMem) {
+TEST(Degrade, LadderStepsFusedThenCoresThenRetry) {
   Scheduler sched(small_server());
 
   const ModCountApp app;
@@ -133,7 +133,7 @@ TEST(Degrade, LadderStepsFusedThenCoresThenMem) {
   spec.config = job_config(2, 1);
   spec.max_retries = 5;
   // Three plan failures walk the whole ladder; the fourth attempt runs for
-  // real on the degraded plan: fused strategy, halved core ask, mem off.
+  // real on the degraded plan: fused strategy, halved core ask.
   const JobId id = sched.submit(spec, [&](JobContext& ctx) {
     const std::size_t call = calls.fetch_add(1);
     if (call < 3) throw ConfigError("synthetic plan failure");
@@ -148,15 +148,15 @@ TEST(Degrade, LadderStepsFusedThenCoresThenMem) {
   ASSERT_EQ(r.degraded_steps.size(), 3u);
   EXPECT_EQ(r.degraded_steps[0], "strategy=fused");
   EXPECT_EQ(r.degraded_steps[1], "cores=6->3");
-  EXPECT_EQ(r.degraded_steps[2], "mem=off");
+  EXPECT_EQ(r.degraded_steps[2], "retry");
   EXPECT_EQ(r.plan.source, "degraded");
   ASSERT_EQ(r.cores.size(), 3u);
   EXPECT_EQ(sched.stats().degraded, 3u);
 }
 
-TEST(Degrade, TraitAppLadderSkipsTheStrategyAndMemRungs) {
-  // HG already runs fused on a single pool with no memory layer: a failed
-  // attempt goes straight to the core step, then to a plain retry.
+TEST(Degrade, TraitAppLadderSkipsTheStrategyRung) {
+  // HG already runs fused on a single pool: a failed attempt goes straight
+  // to the core step, then to a plain retry.
   Scheduler sched(small_server());
   using App = apps::HistogramApp<apps::ContainerFlavor::kDefault>;
   const apps::PixelInput input{apps::make_pixels(20000, 43), 2048};
