@@ -3,7 +3,10 @@
 //
 // Times each map-side kernel primitive through the scalar table and through
 // the table simd::active() dispatches to (the widest the CPU supports) over
-// suite-shaped inputs, and reports the speedup.
+// suite-shaped inputs, and reports the speedup. The "wc key hash" row times
+// the combine side of WC instead: std::hash<std::string_view> (scalar
+// column) against containers::KeyHash (native column) over every token of
+// the same text.
 //
 // Inputs scale with RAMR_BENCH_SCALE (default 4; larger = smaller inputs)
 // and each cell is the best of RAMR_BENCH_REPS timed repetitions (default
@@ -13,7 +16,9 @@
 #include <cstring>
 #include <iostream>
 #include <limits>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/histogram.hpp"
@@ -21,6 +26,7 @@
 #include "bench_util.hpp"
 #include "common/env.hpp"
 #include "common/timing.hpp"
+#include "containers/key_hash.hpp"
 #include "simd/kernels.hpp"
 #include "stats/table.hpp"
 #include "topology/topology.hpp"
@@ -66,6 +72,30 @@ std::uint64_t tokenize_pass(const simd::Kernels& k, const std::string& text) {
     ++words;
   }
   return words;
+}
+
+// Every word of `text`, as the WC map emits them.
+std::vector<std::string_view> tokenize(const simd::Kernels& k,
+                                       const std::string& text) {
+  std::vector<std::string_view> words;
+  const char* d = text.data();
+  const std::size_t n = text.size();
+  std::size_t pos = 0;
+  for (;;) {
+    pos = k.skip_separators(d, pos, n);
+    if (pos >= n) break;
+    const std::size_t end = k.find_separator(d, pos, n);
+    words.emplace_back(d + pos, end - pos);
+    pos = end;
+  }
+  return words;
+}
+
+template <typename Hash>
+std::uint64_t hash_pass(const std::vector<std::string_view>& words) {
+  std::uint64_t acc = 0;
+  for (std::string_view w : words) acc += Hash{}(w);
+  return acc;
 }
 
 // The SM single-pattern scan: first-byte probe + boundary + tail compare.
@@ -132,6 +162,15 @@ int main(int argc, char** argv) {
     const double sn =
         best_seconds(reps, [&] { sink(match_pass(kn, text, pat)); });
     report_kernel(table, "sm scan", text.size(), ss, sn, native.path);
+
+    const std::vector<std::string_view> words = tokenize(kn, text);
+    const double hs = best_seconds(reps, [&] {
+      sink(hash_pass<std::hash<std::string_view>>(words));
+    });
+    const double hk = best_seconds(reps, [&] {
+      sink(hash_pass<containers::KeyHash<std::string_view>>(words));
+    });
+    report_kernel(table, "wc key hash", text.size(), hs, hk, "KeyHash");
   }
   {
     const std::vector<std::uint8_t> pixels =
@@ -176,6 +215,7 @@ int main(int argc, char** argv) {
   }
   bench::print(table);
   std::cout << "\n(speedup > 1: the dispatched table is faster than the "
-               "scalar reference)\n";
+               "scalar reference; for wc key hash, KeyHash is faster than "
+               "std::hash)\n";
   return 0;
 }

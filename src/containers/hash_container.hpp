@@ -9,22 +9,26 @@
 // a 0.7 load factor.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "containers/combiners.hpp"
+#include "containers/key_hash.hpp"
 
 namespace ramr::containers {
 
 namespace detail {
 
-// Mixes the raw std::hash output; libstdc++ hashes integers to themselves,
-// which probes terribly for arithmetic key sequences.
+// SplitMix64 finalizer over the raw KeyHash output. Integer keys fall
+// through to std::hash, which libstdc++ makes the identity; unmixed, that
+// probes terribly for arithmetic key sequences.
 inline std::size_t mix_hash(std::size_t h) {
   std::uint64_t z = static_cast<std::uint64_t>(h) + 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -32,10 +36,16 @@ inline std::size_t mix_hash(std::size_t h) {
   return static_cast<std::size_t>(z ^ (z >> 31));
 }
 
+// Smallest power of two >= v (1 for 0); throws CapacityError when that
+// power does not fit in a size_t.
 inline std::size_t round_up_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+  constexpr std::size_t kTop = std::size_t{1}
+                               << (std::numeric_limits<std::size_t>::digits - 1);
+  if (v > kTop) {
+    throw CapacityError("container sizing: " + std::to_string(v) +
+                        " slots exceed the largest power of two");
+  }
+  return v <= 1 ? 1 : std::bit_ceil(v);
 }
 
 }  // namespace detail
@@ -44,7 +54,7 @@ inline std::size_t round_up_pow2(std::size_t v) {
 // construction; emit throws CapacityError once every slot is occupied).
 // Growable = true: regular hash table (doubles at load factor > 0.7).
 template <typename K, typename V, Combiner C, bool Growable,
-          typename Hash = std::hash<K>, typename KeyEq = std::equal_to<K>>
+          typename Hash = KeyHash<K>, typename KeyEq = std::equal_to<K>>
   requires std::same_as<typename C::value_type, V>
 class OpenAddressingContainer {
  public:
@@ -55,9 +65,15 @@ class OpenAddressingContainer {
 
   // `expected_keys` sizes the table: slots = next power of two holding
   // expected_keys at <=0.7 load. For the fixed variant this is a hard
-  // capacity bound on distinct keys.
+  // capacity bound on distinct keys. Throws CapacityError when that table
+  // size does not fit in a size_t.
   explicit OpenAddressingContainer(std::size_t expected_keys)
       : max_keys_(expected_keys == 0 ? 1 : expected_keys) {
+    if (max_keys_ > (std::numeric_limits<std::size_t>::max() - 6) / 10) {
+      throw CapacityError("hash container sizing: " +
+                          std::to_string(max_keys_) +
+                          " expected keys overflow the slot count");
+    }
     const std::size_t want =
         (max_keys_ * 10 + 6) / 7;  // ceil(expected / 0.7)
     slots_.resize(detail::round_up_pow2(want < 2 ? 2 : want));
@@ -165,11 +181,11 @@ class OpenAddressingContainer {
 };
 
 // Paper terminology aliases.
-template <typename K, typename V, Combiner C, typename Hash = std::hash<K>,
+template <typename K, typename V, Combiner C, typename Hash = KeyHash<K>,
           typename KeyEq = std::equal_to<K>>
 using FixedHashContainer = OpenAddressingContainer<K, V, C, false, Hash, KeyEq>;
 
-template <typename K, typename V, Combiner C, typename Hash = std::hash<K>,
+template <typename K, typename V, Combiner C, typename Hash = KeyHash<K>,
           typename KeyEq = std::equal_to<K>>
 using HashContainer = OpenAddressingContainer<K, V, C, true, Hash, KeyEq>;
 

@@ -17,10 +17,11 @@
 
 #include "containers/combiners.hpp"
 #include "containers/hash_container.hpp"  // detail::mix_hash / round_up_pow2
+#include "containers/key_hash.hpp"
 
 namespace ramr::containers {
 
-template <typename K, typename V, Combiner C, typename Hash = std::hash<K>,
+template <typename K, typename V, Combiner C, typename Hash = KeyHash<K>,
           typename KeyEq = std::equal_to<K>>
   requires std::same_as<typename C::value_type, V>
 class MetisContainer {
@@ -40,8 +41,8 @@ class MetisContainer {
   std::size_t bucket_count() const { return buckets_.size(); }
 
   void emit(const K& key, const V& v) {
-    Bucket& bucket = bucket_of(key);
     const std::size_t h = detail::mix_hash(Hash{}(key));
+    Bucket& bucket = buckets_[h & (buckets_.size() - 1)];
     auto it = std::lower_bound(
         bucket.begin(), bucket.end(), std::pair{h, std::cref(key)},
         [](const Entry& e, const auto& probe) {
@@ -100,16 +101,9 @@ class MetisContainer {
   };
   using Bucket = std::vector<Entry>;
 
-  Bucket& bucket_of(const K& key) {
-    return buckets_[detail::mix_hash(Hash{}(key)) & (buckets_.size() - 1)];
-  }
-  const Bucket& bucket_of(const K& key) const {
-    return buckets_[detail::mix_hash(Hash{}(key)) & (buckets_.size() - 1)];
-  }
-
   const Entry* find(const K& key) const {
-    const Bucket& bucket = bucket_of(key);
     const std::size_t h = detail::mix_hash(Hash{}(key));
+    const Bucket& bucket = buckets_[h & (buckets_.size() - 1)];
     auto it = std::lower_bound(
         bucket.begin(), bucket.end(), std::pair{h, std::cref(key)},
         [](const Entry& e, const auto& probe) {

@@ -27,11 +27,13 @@
 
 #include "containers/container_traits.hpp"
 #include "containers/hash_container.hpp"  // detail::mix_hash/round_up_pow2
+#include "containers/key_hash.hpp"
 
 namespace ramr::engine {
 
 template <typename K, typename V, containers::Combiner C,
-          typename Hash = std::hash<K>, typename KeyEq = std::equal_to<K>>
+          typename Hash = containers::KeyHash<K>,
+          typename KeyEq = std::equal_to<K>>
 class PrecombineBuffer {
  public:
   using Record = containers::KeyValue<K, V>;

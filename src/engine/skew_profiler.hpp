@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "containers/key_hash.hpp"
 #include "engine/result.hpp"
 
 namespace ramr::engine {
@@ -76,7 +77,7 @@ class SkewProfiler {
   // candidate table).
   template <typename K>
   void sample_key(std::size_t mapper, const K& key) {
-    const std::uint64_t h = mix(std::hash<K>{}(key));
+    const std::uint64_t h = mix(containers::KeyHash<K>{}(key));
     const std::uint32_t est = sketch_bump(h);
     note_candidate(mappers_[mapper], h, est,
                    [&] { return printable(key); });
@@ -176,8 +177,8 @@ class SkewProfiler {
     std::vector<Candidate> candidates = std::vector<Candidate>(kCandidates);
   };
 
-  // SplitMix64 finalizer: decorrelates std::hash's identity-like integer
-  // hashing before the sketch rows slice bits off it.
+  // SplitMix64 finalizer: decorrelates KeyHash's identity-like integer
+  // hashing (std::hash underneath) before the sketch rows slice bits off it.
   static std::uint64_t mix(std::uint64_t h) {
     h += 0x9e3779b97f4a7c15ULL;
     h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;

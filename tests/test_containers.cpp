@@ -2,17 +2,25 @@
 // including property checks against std::map as the reference semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
+#include "apps/inputs.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "containers/combiners.hpp"
 #include "containers/container_traits.hpp"
 #include "containers/fixed_array_container.hpp"
 #include "containers/hash_container.hpp"
+#include "containers/key_hash.hpp"
 #include "containers/metis_container.hpp"
 
 namespace ramr::containers {
@@ -234,6 +242,175 @@ TEST_P(FixedHashCapacity, AcceptsExactlyTheAdvertisedCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, FixedHashCapacity,
                          ::testing::Values(1, 2, 3, 7, 64, 1000));
+
+// Sizing must fail loudly, not wrap: a wrapped slot count left a fixed
+// table with 2 slots that spun forever in find_slot on its third key.
+TEST(FixedHash, SlotCountOverflowThrows) {
+  // (expected * 10 + 6) wraps to 10 for this value, i.e. 2 slots.
+  const std::size_t wraps = std::numeric_limits<std::size_t>::max() / 10 + 1;
+  using Fixed = FixedHashContainer<std::uint64_t, std::uint64_t, CountCombiner>;
+  EXPECT_THROW(Fixed{wraps}, CapacityError);
+  EXPECT_THROW(Fixed{std::numeric_limits<std::size_t>::max()}, CapacityError);
+}
+
+TEST(HashSizing, RoundUpPow2ThrowsPastTheTopBit) {
+  constexpr std::size_t kTop = std::size_t{1}
+                               << (std::numeric_limits<std::size_t>::digits - 1);
+  EXPECT_EQ(detail::round_up_pow2(0), 1u);
+  EXPECT_EQ(detail::round_up_pow2(5), 8u);
+  EXPECT_EQ(detail::round_up_pow2(kTop), kTop);
+  EXPECT_THROW(detail::round_up_pow2(kTop + 1), CapacityError);
+  EXPECT_THROW(detail::round_up_pow2(std::numeric_limits<std::size_t>::max()),
+               CapacityError);
+}
+
+// ---------- KeyHash ------------------------------------------------------------
+
+// Distinct keys must get distinct 64-bit hashes; returns the number of
+// collisions (0 expected for every family below).
+std::size_t count_collisions(const std::vector<std::string>& keys) {
+  std::unordered_set<std::uint64_t> seen;
+  std::size_t collisions = 0;
+  for (const std::string& k : keys) {
+    if (!seen.insert(KeyHash<std::string>{}(k)).second) ++collisions;
+  }
+  return collisions;
+}
+
+std::vector<std::string> distinct(std::vector<std::string> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// The distinct words among the first 100 k of make_text's Zipf text.
+std::vector<std::string> text_word_keys() {
+  std::istringstream in(apps::make_text(1 << 20, 1 << 18, 21));
+  std::vector<std::string> words;
+  for (std::string w; words.size() < 100000 && in >> w;) words.push_back(w);
+  return distinct(std::move(words));
+}
+
+std::vector<std::string> numeric_keys() {
+  std::vector<std::string> keys;
+  for (std::uint64_t i = 0; i < 100000; ++i) keys.push_back(std::to_string(i));
+  return keys;
+}
+
+// 10 k keys of one length that share a 40-byte prefix. 10 k distinct keys
+// cannot differ in one byte alone, so they differ only in their last two.
+std::vector<std::string> shared_prefix_keys() {
+  const std::string prefix(40, 'p');
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < 10000; ++i) {
+    std::string k = prefix;
+    k += static_cast<char>(i >> 8);
+    k += static_cast<char>(i & 0xff);
+    keys.push_back(std::move(k));
+  }
+  return keys;
+}
+
+TEST(KeyHash, ShortStringsNeverCollide) {
+  // Every string of length 0-3 over 64 symbols, '\0' included.
+  std::string alphabet(1, '\0');
+  for (char c = 'a'; c <= 'z'; ++c) alphabet += c;
+  for (char c = 'A'; c <= 'Z'; ++c) alphabet += c;
+  alphabet += "0123456789\xff";
+  ASSERT_EQ(alphabet.size(), 64u);
+  std::vector<std::string> keys{""};
+  for (std::size_t len = 1, first = 0; len <= 3; ++len) {
+    const std::size_t last = keys.size();
+    for (std::size_t i = first; i < last; ++i) {
+      for (char c : alphabet) keys.push_back(keys[i] + c);
+    }
+    first = last;
+  }
+  ASSERT_EQ(keys.size(), 1u + 64 + 64 * 64 + 64 * 64 * 64);
+  EXPECT_EQ(count_collisions(keys), 0u);
+}
+
+TEST(KeyHash, WordNumericAndSharedPrefixKeysNeverCollide) {
+  const auto words = text_word_keys();
+  EXPECT_GT(words.size(), 10000u);
+  EXPECT_EQ(count_collisions(words), 0u);
+  EXPECT_EQ(count_collisions(numeric_keys()), 0u);
+  EXPECT_EQ(count_collisions(shared_prefix_keys()), 0u);
+}
+
+TEST(KeyHash, StringAndStringViewHashEqual) {
+  for (const std::string& k :
+       {std::string{}, std::string("a"), std::string("abc"),
+        std::string("abcd"), std::string("abcdefgh"), std::string("abcdefghi"),
+        std::string(40, 'x') + "yz", std::string("a\0b", 3)}) {
+    EXPECT_EQ(KeyHash<std::string>{}(k), KeyHash<std::string_view>{}(k)) << k;
+  }
+}
+
+TEST(KeyHash, IntegerKeysHashAsStdHash) {
+  for (std::uint64_t k : {0ull, 1ull, 42ull, ~0ull}) {
+    EXPECT_EQ(KeyHash<std::uint64_t>{}(k), std::hash<std::uint64_t>{}(k));
+  }
+}
+
+// Mean linear-probe length (successful search) at 0.7 load, hashing the
+// way the containers do: mix_hash(KeyHash) & mask.
+double mean_probe_length(const std::vector<std::string>& keys) {
+  const std::size_t slots = std::bit_floor(keys.size() * 10 / 7);
+  const std::size_t n = slots * 7 / 10;
+  std::vector<bool> used(slots);
+  std::size_t probes = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t i =
+        detail::mix_hash(KeyHash<std::string>{}(keys[k])) & (slots - 1);
+    for (probes += 1; used[i]; probes += 1) i = (i + 1) & (slots - 1);
+    used[i] = true;
+  }
+  return static_cast<double>(probes) / static_cast<double>(n);
+}
+
+TEST(KeyHash, LinearProbesStayNearUniformAtSevenTenthsLoad) {
+  // Knuth: a successful search under uniform hashing costs
+  // (1 + 1 / (1 - a)) / 2 probes at load a.
+  const double uniform = 0.5 * (1.0 + 1.0 / (1.0 - 0.7));
+  const struct {
+    const char* family;
+    std::vector<std::string> keys;
+  } families[] = {{"text words", text_word_keys()},
+                  {"numeric", numeric_keys()},
+                  {"shared prefix", shared_prefix_keys()}};
+  for (const auto& f : families) {
+    SCOPED_TRACE(f.family);
+    EXPECT_LE(mean_probe_length(f.keys), 2.0 * uniform);
+  }
+}
+
+// A hash match never stands in for key equality: with every key on one
+// hash value, each container still keeps the keys apart.
+struct OneValueHash {
+  std::size_t operator()(const std::string&) const { return 7; }
+};
+
+TEST(KeyHash, EqualityDecidesEveryMatch) {
+  FixedHashContainer<std::string, std::uint64_t, CountCombiner, OneValueHash>
+      fixed(8);
+  HashContainer<std::string, std::uint64_t, CountCombiner, OneValueHash>
+      grown(2);
+  MetisContainer<std::string, std::uint64_t, CountCombiner, OneValueHash>
+      metis(8);
+  for (const char* k : {"a", "b", "a", "c", "b", "a"}) {
+    fixed.emit(k, 1);
+    grown.emit(k, 1);
+    metis.emit(k, 1);
+  }
+  for (const auto* c : {&fixed.at("a"), &grown.at("a"), &metis.at("a")}) {
+    EXPECT_EQ(*c, 3u);
+  }
+  EXPECT_EQ(fixed.size(), 3u);
+  EXPECT_EQ(grown.size(), 3u);
+  EXPECT_EQ(metis.size(), 3u);
+  EXPECT_EQ(grown.at("c"), 1u);
+}
 
 // KeyValue record behaves as a regular aggregate (pipelined through rings).
 TEST(KeyValueRecord, AggregateEquality) {
