@@ -1,5 +1,5 @@
 // Adaptive controller walkthrough: the same workload run twice through the
-// online autotuner (RAMR_ADAPT=full).
+// online autotuner (RAMR_ADAPT=probe).
 //
 // Cold run: the plan cache is empty, so the controller spends a bounded
 // calibration slice of the real input probing fused vs. pipelined
@@ -54,8 +54,7 @@ bool run_once(const char* label, RuntimeConfig config,
       payload == synth::synth_expected_payload_sum(params.elements);
 
   std::cout << label << ": " << result.plan.summary() << '\n'
-            << "  " << result.timers.summary()
-            << " governor_actions=" << result.governor_actions.size() << '\n'
+            << "  " << result.timers.summary() << '\n'
             << "  payload invariant: " << (ok ? "OK" : "VIOLATED") << '\n';
   return ok;
 }
@@ -70,7 +69,7 @@ int main() {
   fs::remove(cache_path);  // guarantee the first run really is cold
 
   RuntimeConfig config;
-  config.adapt_mode = AdaptMode::kFull;
+  config.adapt_mode = AdaptMode::kProbe;
   config.plan_cache_path = cache_path;
   config.pin_policy = PinPolicy::kOsDefault;
   config.num_mappers = 2;

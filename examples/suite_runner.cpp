@@ -76,8 +76,6 @@ CliOptions parse(int argc, char** argv) {
       o.config.queue_capacity = parse_u64(val);
     } else if (key == "--task-size") {
       o.config.task_size = parse_u64(val);
-    } else if (key == "--precombine") {
-      o.config.precombine_slots = parse_u64(val);
     } else if (key == "--split") {
       o.config.split_distribution = parse_split_distribution(val);
     } else if (key == "--pin") {
@@ -204,8 +202,7 @@ int main(int argc, char** argv) {
                  "[--flavor=F] [--size=S]\n                    [--scale=N] "
                  "[--reps=N] [--mappers=N] [--combiners=N]\n"
                  "                    [--batch=N] [--capacity=N] "
-                 "[--task-size=N] [--pin=P]\n"
-                 "                    [--precombine=N] [--split=rr|block]\n";
+                 "[--task-size=N] [--pin=P] [--split=rr|block]\n";
     return 2;
   }
   std::cout << "app=" << o.app << " flavor="

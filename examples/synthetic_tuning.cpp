@@ -21,7 +21,7 @@ int main() {
   params.elements = 50000;
   params.keys = 64;
   // 200 splits: enough for the adaptive controller's calibration budget
-  // when the CI smoke step re-runs this example under RAMR_ADAPT=full.
+  // when the CI smoke step re-runs this example under RAMR_ADAPT=probe.
   params.split_elements = 250;
   params.arena_bytes = 1 << 20;
 
@@ -50,7 +50,7 @@ int main() {
 
   // --- 2. run the real runtime with the chosen ratio ----------------------
   // Env knobs (RAMR_ADAPT, RAMR_RATIO, ...) layer on top of the modelled
-  // choice, so `RAMR_ADAPT=full ./synthetic_tuning` hands the decision to
+  // choice, so `RAMR_ADAPT=probe ./synthetic_tuning` hands the decision to
   // the online controller instead (the CI adaptive-smoke step does this and
   // validates the RAMR_ADAPT_REPORT JSON it emits).
   synth::SynthApp app;

@@ -13,9 +13,6 @@
 //           suitability model (adapt/suitability.hpp).
 //   commit  The winner runs the rest of the input. Explicit env knobs are
 //           never overridden: precedence is env > cache > probe > defaults.
-//   govern  (RAMR_ADAPT=full, pipelined winner) a Governor thread retunes
-//           batch size and backoff cap within safe bounds while the phase
-//           runs (adapt/governor.hpp).
 //   cache   The committed plan persists per (app, input bucket, topology),
 //           so the next run skips the probe entirely.
 //   trait   An app that combines in its map (mr::CombinesInMap) needs no
@@ -28,17 +25,14 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <typeinfo>
 #include <utility>
 #include <vector>
 
-#include "adapt/governor.hpp"
 #include "adapt/plan.hpp"
 #include "adapt/plan_cache.hpp"
 #include "adapt/suitability.hpp"
@@ -66,8 +60,6 @@ struct ControllerOptions {
   double max_probe_fraction = 0.5;
 
   SuitabilityModel model;
-
-  std::chrono::microseconds governor_interval{5000};
 };
 
 // Cache identity of the app: its declared kName when present, the mangled
@@ -132,12 +124,11 @@ void accumulate_run(engine::RunResult<K, V>& into,
 }  // namespace detail
 
 // Runs `app` over `input` under the adaptive controller. `recorder` may be
-// null (no tracing); `policy` may be null (DefaultTuningPolicy). The base
-// config's adapt_mode selects probe-only vs probe+governor; callers should
-// not invoke this with AdaptMode::kOff (it would still work — one probe-less
-// default run — but the static path is cheaper). Pass `base` as the caller
-// gave it, before resolved(): engine::fused_width reads whether the worker
-// counts were fixed.
+// null (no tracing). Callers should not invoke this with AdaptMode::kOff (it
+// would still work — one probe-less default run — but the static path is
+// cheaper). The committed plan's knobs hold for the whole main run. Pass
+// `base` as the caller gave it, before resolved(): engine::fused_width reads
+// whether the worker counts were fixed.
 //
 // Every pool set (probe and main run) is leased from `depot`: a caller that
 // passes a long-lived depot (core::Runtime does) amortizes pool spin-up
@@ -149,7 +140,6 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
                               const RuntimeConfig& base, const S& app,
                               const typename S::input_type& input,
                               trace::Recorder* recorder = nullptr,
-                              engine::TuningPolicy* policy = nullptr,
                               ControllerOptions options = {},
                               engine::PoolDepot* depot = nullptr) {
   engine::PoolDepot local_depot;
@@ -313,8 +303,8 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
   engine::DriverOptions main_opts = engine::driver_options_from(mcfg);
   if (decided) main_opts.plan_source = plan.source;
 
-  // Runs the committed plan, wiring telemetry, tracing and (full mode,
-  // pipelined) the governor around the driver.
+  // Runs the committed plan, wiring telemetry and tracing around the
+  // driver.
   const auto run_main = [&](auto& strategy, engine::PoolSet& pools,
                             const auto& main_app,
                             const engine::DriverOptions& dopts)
@@ -322,56 +312,10 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
     engine::PhaseDriver driver(pools, dopts);
     driver.set_recorder(recorder);
 
-    const bool want_governor =
-        cfg.adapt_mode == AdaptMode::kFull && pools.dual();
-    std::unique_ptr<telemetry::Session> session;
-    const bool metrics = cfg.obs != ObsLevel::kOff;
-    if (metrics || want_governor) {
-      // The governor needs live engine metrics even when the user left
-      // telemetry off; a metrics-only session (no PMU, no sampler) is the
-      // cheapest way to get them.
-      telemetry::SessionOptions so;
-      so.pmu = metrics ? cfg.pmu_mode : PmuMode::kOff;
-      so.sample_interval_us = metrics ? cfg.sample_interval_us : 0;
-      so.num_mappers = pools.num_mappers();
-      so.num_combiners = pools.num_combiners();
-      session = std::make_unique<telemetry::Session>(so);
-    }
+    const auto session = telemetry::Session::from_config(
+        cfg, pools.num_mappers(), pools.num_combiners());
     driver.set_telemetry(session.get());
-
-    engine::TuningControl control(mcfg.batch_size, mcfg.sleep_cap_micros,
-                                  mcfg.emit_batch);
-    DefaultTuningPolicy default_policy;
-    std::unique_ptr<Governor> governor;
-    if (want_governor) {
-      driver.set_tuning(&control);
-      trace::Lane* governor_lane = nullptr;
-      if (recorder != nullptr) {
-        // The governor thread may record before the driver finishes its
-        // lane setup, and the first record seals the recorder — so create
-        // every lane the driver will ask for, plus the governor's, now.
-        recorder->lane("driver");
-        engine::TraceLanes::create(recorder, pools);
-        governor_lane = &recorder->lane("governor");
-      }
-      GovernorOptions gopts;
-      gopts.interval = options.governor_interval;
-      gopts.queue_capacity = mcfg.queue_capacity;
-      gopts.sleep_cap_floor = std::max<std::size_t>(1, mcfg.sleep_micros);
-      gopts.tune_emit_batch = !cfg.pinned[Knob::kEmitBatch];
-      governor = std::make_unique<Governor>(
-          control, policy != nullptr ? *policy : default_policy,
-          session->registry(), gopts, governor_lane,
-          recorder != nullptr ? recorder->epoch() : now());
-      governor->start();
-    }
-
-    auto res = driver.run(strategy, main_app, input);
-    if (governor != nullptr) {
-      governor->stop();
-      res.governor_actions = governor->actions();
-    }
-    return res;
+    return driver.run(strategy, main_app, input);
   };
 
   mr::result_of<S> result;
@@ -416,7 +360,6 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
   }
 
   decision.plan = result.plan;
-  decision.governor_actions = result.governor_actions.size();
   if (!cfg.adapt_report_path.empty()) {
     std::ofstream out(cfg.adapt_report_path, std::ios::trunc);
     if (out) write_plan_report(out, key, decision);

@@ -66,8 +66,6 @@ void write_plan_report(std::ostream& out, const PlanKey& key,
   w.end_array();
   w.field("probe_splits_used",
           static_cast<std::uint64_t>(decision.probe_splits_used));
-  w.field("governor_actions",
-          static_cast<std::uint64_t>(decision.governor_actions));
   w.end_object();
   out << '\n';
 }

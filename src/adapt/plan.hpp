@@ -50,8 +50,7 @@ struct CandidateScore {
 struct PlanDecision {
   engine::PlanInfo plan;
   std::vector<CandidateScore> candidates;
-  std::size_t probe_splits_used = 0;   // input consumed by calibration
-  std::size_t governor_actions = 0;    // filled after the main run
+  std::size_t probe_splits_used = 0;  // input consumed by calibration
 };
 
 // Writes the `ramr-adapt-plan-v1` JSON document (RAMR_ADAPT_REPORT and the

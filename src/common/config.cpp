@@ -38,10 +38,12 @@ constexpr Named<BackoffKind> kBackoffKinds[] = {
     {"sleep", BackoffKind::kSleep},   {"fixed", BackoffKind::kSleep},
     {"exp", BackoffKind::kExponential},
     {"exponential", BackoffKind::kExponential}};
+// "full"/"on" are deliberately absent: they meant the probe plus an online
+// retuner that is gone, and a value whose meaning changed must fail rather
+// than be reinterpreted.
 constexpr Named<AdaptMode> kAdaptModes[] = {
-    {"off", AdaptMode::kOff},     {"0", AdaptMode::kOff},
-    {"no", AdaptMode::kOff},      {"probe", AdaptMode::kProbe},
-    {"full", AdaptMode::kFull},   {"on", AdaptMode::kFull}};
+    {"off", AdaptMode::kOff}, {"0", AdaptMode::kOff},
+    {"no", AdaptMode::kOff},  {"probe", AdaptMode::kProbe}};
 constexpr Named<io::IoMode> kIoModes[] = {
     {"off", io::IoMode::kOff}, {"0", io::IoMode::kOff},
     {"no", io::IoMode::kOff},  {"mmap", io::IoMode::kMmap},
@@ -110,11 +112,8 @@ void for_each_knob(Config& c, Visit&& v) {
      "full-ring backoff: busy-wait, fixed sleep or exponential sleep"},
     c.backoff, kBackoffKinds);
   v({Knob::kSleepCapMicros, "RAMR_SLEEP_CAP_US", kRun,
-     "exponential backoff cap (µs); seeds the governor's sleep cap"},
+     "exponential backoff cap (µs)"},
     c.sleep_cap_micros, Uint{1, 10'000'000});
-  v({Knob::kPrecombine, "RAMR_PRECOMBINE", kRun,
-     "mapper-side coalescing buffer slots (0 = off)"},
-    c.precombine_slots, Uint{0, 1'048'576});
   v({Knob::kEmitBatch, "RAMR_EMIT_BATCH", kRun,
      "records per batched producer publish (0 = element-wise)"},
     c.emit_batch, Uint{0, 1'000'000});
@@ -158,7 +157,7 @@ void for_each_knob(Config& c, Visit&& v) {
     c.flight_events, Uint{16, 1'048'576});
   // Adaptive controller (src/adapt/, docs/TUNING.md).
   v({Knob::kAdapt, "RAMR_ADAPT", kRun,
-     "online autotuner: static, probe + plan cache, or probe + governor"},
+     "online autotuner: static, or probe + plan cache"},
     c.adapt_mode, kAdaptModes);
   v({Knob::kPlanCache, "RAMR_PLAN_CACHE", kRun,
      "plan-cache path (unset = `~/.cache/ramr/plans.json`)"},
@@ -202,6 +201,8 @@ constexpr Retired kRetired[] = {
     {"RAMR_MEM", "RAMR_EMIT_BATCH=32 (rings and emit buffers use the heap)"},
     {"RAMR_HUGEPAGES",
      "the system's transparent-huge-page setting (rings use the heap)"},
+    {"RAMR_PRECOMBINE",
+     "RAMR_ADAPT=probe (a fused plan combines inside the mapper)"},
 };
 
 // ---- per-domain parse / print / describe ------------------------------------

@@ -56,12 +56,10 @@ std::string to_string(BackoffKind kind);
 
 // Adaptive-controller mode (src/adapt/): off = static knobs only (the
 // historical behaviour), probe = calibrate a plan on a bounded input slice
-// (and cache it) but leave the steady state alone, full = probe + the
-// steady-state governor that retunes batch size / backoff cap online.
+// (and cache it); the committed plan's knobs then hold for the whole run.
 enum class AdaptMode {
   kOff,
   kProbe,
-  kFull,
 };
 
 std::string to_string(AdaptMode mode);
@@ -92,11 +90,10 @@ std::string to_string(PmuMode mode);
 enum class Knob : std::size_t {
   kMappers, kCombiners, kRatio, kTaskSize, kQueueCapacity, kBatchSize,
   kPinPolicy, kSplitDistribution, kSleepMicros, kBackoff, kSleepCapMicros,
-  kPrecombine, kEmitBatch, kTaskRetries, kDeadlineMs, kStallMs, kFaults,
-  kIo, kIoWindow, kIoDepth, kObs, kPmu, kSampleMicros, kMetricsPath,
-  kFlightEvents, kAdapt, kPlanCache, kAdaptReport, kService, kServiceJobs,
-  kServiceQueue, kServiceRetries, kHedgeFactor, kBreakerK, kShedWatermark,
-  kCount
+  kEmitBatch, kTaskRetries, kDeadlineMs, kStallMs, kFaults, kIo, kIoWindow,
+  kIoDepth, kObs, kPmu, kSampleMicros, kMetricsPath, kFlightEvents, kAdapt,
+  kPlanCache, kAdaptReport, kService, kServiceJobs, kServiceQueue,
+  kServiceRetries, kHedgeFactor, kBreakerK, kShedWatermark, kCount
 };
 
 inline constexpr std::size_t kKnobCount =
@@ -153,17 +150,11 @@ struct RuntimeConfig {
   BackoffKind backoff = BackoffKind::kSleep;
   std::size_t sleep_cap_micros = 1000;
 
-  // Mapper-side pre-combining buffer, in slots (0 = off, the paper's
-  // published behaviour). Coalesces same-key emissions before they enter
-  // the SPSC ring — an extension targeting the queue-traffic-bound apps.
-  std::size_t precombine_slots = 0;
-
   // Producer-side emit batch, in records (0 = off, the historical
   // element-wise push). Mappers buffer up to this many records and publish
   // them through Ring::try_push_batch — one release store and at most one
   // cached-head refresh per block instead of per element. The buffer
-  // flushes on full, at task boundaries, and before close/cancel. The
-  // steady-state governor may retune it when not pinned via env.
+  // flushes on full, at task boundaries, and before close/cancel.
   std::size_t emit_batch = 0;
 
   // ---- robustness knobs (see src/faults/, engine/health.hpp) -------------

@@ -1,10 +1,9 @@
 // The one hash for intermediate keys.
 //
 // Every consumer that hashes an intermediate key (the open-addressing and
-// Metis containers, the mapper-side pre-combine buffer, the skew
-// profiler's sketch) defaults to KeyHash<K> and then runs the result
-// through its own SplitMix64 finalizer. Key equality, never the hash,
-// decides every match.
+// Metis containers, the skew profiler's sketch) defaults to KeyHash<K>
+// and then runs the result through its own SplitMix64 finalizer. Key
+// equality, never the hash, decides every match.
 //
 // String keys are why this exists. WC's keys average under 6 bytes, and
 // libstdc++'s std::hash<std::string_view> is an out-of-line call into

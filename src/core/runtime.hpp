@@ -4,8 +4,8 @@
 // shared execution engine: a dual-pool engine::PoolSet (general-purpose
 // mapper pool + combiner pool, placed by the pinning plan) plus the
 // engine::PipelinedSpsc emit strategy (per-mapper SPSC rings drained
-// concurrently by the combiner pool, with batched reads, sleep-on-full
-// backoff, and optional mapper-side pre-combining) driven through
+// concurrently by the combiner pool, with batched reads and sleep-on-full
+// backoff) driven through
 // engine::PhaseDriver. See engine/strategy_pipelined.hpp for the pipeline
 // and failure protocols.
 //
@@ -77,13 +77,6 @@ class Runtime {
     if (driver_) driver_->set_recorder(recorder);
   }
 
-  // Optional custom steady-state tuning policy for the adaptive controller
-  // (RAMR_ADAPT=full; see adapt/governor.hpp). Null = the built-in
-  // DefaultTuningPolicy. Must outlive every run().
-  void set_tuning_policy(engine::TuningPolicy* policy) {
-    tuning_policy_ = policy;
-  }
-
   // The telemetry session created from the config's observability knobs
   // (RAMR_OBS=metrics or full), sized to the leased pools; nullptr when it
   // is off or the adaptive path runs (it builds its own). Exporters read
@@ -92,15 +85,15 @@ class Runtime {
   telemetry::Session* telemetry() { return telemetry_.get(); }
 
   mr::result_of<S> run(const S& app, const typename S::input_type& input) {
-    // RAMR_ADAPT=probe|full routes through the adaptive controller, which
+    // RAMR_ADAPT=probe routes through the adaptive controller, which
     // leases its own pools (the probed plan may change the pool shape) and
     // builds its own telemetry session sized to them. Handing it this
     // Runtime's depot lets probe and main-run pool sets recycle across a
     // stream of run() calls — the plan cache already amortizes the probe,
     // the depot now amortizes the spin-up.
     if (cfg_.adapt_mode != AdaptMode::kOff) {
-      return adapt::run_adaptive(topo_, base_, app, input, recorder_,
-                                 tuning_policy_, {}, depot_);
+      return adapt::run_adaptive(topo_, base_, app, input, recorder_, {},
+                                 depot_);
     }
     engine::Strategy<S> strategy;
     ensure_pools();
@@ -145,7 +138,6 @@ class Runtime {
   engine::PoolDepot::Lease lease_;
   std::unique_ptr<engine::PhaseDriver> driver_;
   trace::Recorder* recorder_ = nullptr;
-  engine::TuningPolicy* tuning_policy_ = nullptr;
 };
 
 // Convenience: run an app once on the host topology. Worker counts default

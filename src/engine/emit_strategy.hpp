@@ -45,7 +45,6 @@
 #include "engine/health.hpp"
 #include "engine/pool_set.hpp"
 #include "engine/skew_profiler.hpp"
-#include "engine/tuning.hpp"
 #include "faults/injector.hpp"
 #include "sched/task_queue.hpp"
 #include "telemetry/session.hpp"
@@ -100,10 +99,6 @@ struct MapCombineContext {
   // Telemetry session, null when disabled (every site is one check). Slot
   // convention: mapper m -> slot m, combiner j -> combiner_slot(j).
   telemetry::Session* telemetry = nullptr;
-  // Live tuning knobs, null when no governor is attached (the strategy
-  // then uses the static config values). Combiners re-read the batch size
-  // per sweep; producer backoffs bind the sleep-cap cell.
-  TuningControl* tuning = nullptr;
   // Straggler/skew profiler, null unless RAMR_OBS=full (one pointer check on
   // the emit and task paths when off).
   SkewProfiler* skew = nullptr;
@@ -145,7 +140,7 @@ struct TaskLoopControl {
 
 // The shared mapper task loop: pops TaskRanges from the group's queue,
 // maps every split through `emit`, runs `on_task_end` between tasks (the
-// pre-combining strategy flushes its buffer there), and records task
+// pipelined strategy flushes its emit buffer there), and records task
 // start/end trace events. Returns the number of tasks executed.
 //
 // Robustness semantics:

@@ -152,12 +152,6 @@ class PhaseDriver {
   // then every instrumentation site in the engine is one pointer check).
   void set_telemetry(telemetry::Session* session) { telemetry_ = session; }
 
-  // Optional live tuning knobs written by an external governor thread (see
-  // engine/tuning.hpp and src/adapt/governor.hpp); must outlive every
-  // run(); nullptr disables (the default — strategies then read the static
-  // config values).
-  void set_tuning(TuningControl* tuning) { tuning_ = tuning; }
-
   template <EmitStrategy St, typename App>
   RunResult<typename St::key_type, typename St::value_type> run(
       St& strategy, const App& app, const typename App::input_type& input) {
@@ -343,9 +337,9 @@ class PhaseDriver {
     if (pools_.config().obs == ObsLevel::kFull) {
       skew.emplace(pools_.num_mappers(), pools_.num_combiners());
     }
-    MapCombineContext ctx{pools_,    queues,  lanes,
+    MapCombineContext ctx{pools_,    queues,   lanes,
                           cancel,    injector, beats,
-                          retry,     telemetry_, tuning_,
+                          retry,     telemetry_,
                           skew ? &*skew : nullptr};
     {
       ScopedPhase t(result.timers, Phase::kMapCombine);
@@ -411,8 +405,7 @@ class PhaseDriver {
         result.plan.strategy = St::kName;
       }
       result.plan.ratio = cfg.mapper_combiner_ratio;
-      result.plan.batch_size =
-          tuning_ != nullptr ? tuning_->batch_size() : cfg.batch_size;
+      result.plan.batch_size = cfg.batch_size;
       result.plan.queue_capacity = cfg.queue_capacity;
       result.plan.pin_policy = to_string(cfg.pin_policy);
       result.plan.source = options_.plan_source;
@@ -435,7 +428,6 @@ class PhaseDriver {
   DriverOptions options_;
   trace::Recorder* recorder_ = nullptr;
   telemetry::Session* telemetry_ = nullptr;
-  TuningControl* tuning_ = nullptr;
 };
 
 }  // namespace ramr::engine

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/timing.hpp"
-#include "engine/tuning.hpp"
 
 namespace ramr::engine {
 
@@ -166,11 +165,8 @@ struct RunResult {
   std::size_t task_retries = 0;
   std::size_t task_aborts = 0;
 
-  // The plan this run executed under (see PlanInfo) and the knob changes
-  // the steady-state governor applied during it (empty unless
-  // RAMR_ADAPT=full engaged the governor).
+  // The plan this run executed under (see PlanInfo).
   PlanInfo plan;
-  std::vector<GovernorAction> governor_actions;
 
   // Streaming-input stats; enabled() only when the run was fed by an
   // IO-lane source (RAMR_IO / PhaseDriver::run_stream).
@@ -223,9 +219,6 @@ struct RunResult {
     // Plan provenance, suppressed for default-sourced plans so existing
     // bench/test output is unchanged when the controller never ran.
     if (plan.decided()) s += " " + plan.summary();
-    if (!governor_actions.empty()) {
-      s += " governor=" + std::to_string(governor_actions.size());
-    }
     // Streaming-IO stats only when an IO-lane source fed the run.
     if (io.enabled()) s += " " + io.summary();
     // Skew profile only under RAMR_OBS=full.

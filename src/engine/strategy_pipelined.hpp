@@ -42,7 +42,6 @@
 #include "engine/app_model.hpp"
 #include "engine/collect.hpp"
 #include "engine/emit_strategy.hpp"
-#include "engine/precombine.hpp"
 #include "engine/result.hpp"
 #include "sched/parallel_sort.hpp"
 #include "spsc/backoff.hpp"
@@ -90,12 +89,8 @@ class PipelinedSpsc {
     std::atomic<std::size_t> tasks_executed{0};
     std::atomic<std::size_t> backoff_sleeps{0};
 
-    // Producer-side emit batching: 0 keeps the historical element-wise
-    // try_push path. The initial size comes from the resolved config (via
-    // the tuning mailbox when the adaptive controller runs, so a governor
-    // retune is visible mid-phase).
-    const std::size_t emit_init =
-        ctx.tuning != nullptr ? ctx.tuning->emit_batch() : cfg.emit_batch;
+    // Producer-side emit batching: 0 keeps the element-wise try_push path.
+    const std::size_t emit_batch = cfg.emit_batch;
 
     // Ring-occupancy time-series: total elements queued across all rings,
     // snapshotted by the sampler thread (Ring::size() is a cross-thread-safe
@@ -125,9 +120,6 @@ class PipelinedSpsc {
       const std::size_t slot = tm != nullptr ? tm->combiner_slot(j) : 0;
       auto idle = make_consumer_backoff(cfg);
       idle.bind(&ctx.cancel.flag());
-      if (ctx.tuning != nullptr) {
-        idle.bind_cap(ctx.tuning->sleep_cap_cell());
-      }
       const auto consume = [&container](std::span<Record> block) {
         for (Record& r : block) {
           container.emit(r.key, r.value);
@@ -156,13 +148,7 @@ class PipelinedSpsc {
       try {
         for (;;) {
           if (ctx.cancel.cancelled()) break;
-          // The batch size is re-read per sweep so the governor can retune
-          // it mid-phase; a sweep in flight always completes at the size it
-          // started with (changes are never applied mid-batch).
-          const std::size_t batch = ctx.tuning != nullptr
-                                        ? ctx.tuning->batch_size()
-                                        : cfg.batch_size;
-          const std::size_t got = set.sweep(consume, batch);
+          const std::size_t got = set.sweep(consume, cfg.batch_size);
           beat.bump();
           if (lane != nullptr) {
             lane->record(ctx.lanes.epoch,
@@ -182,9 +168,9 @@ class PipelinedSpsc {
           } else {
             if (tm != nullptr) tm->batch_sizes->record(slot, got);
             ctx.injector.on_combiner_batch(j, ++batches);
-            // Periodic live occupancy sample for the governor (the final
-            // value still lands via account()); every 32nd batch keeps the
-            // sweep loop lean.
+            // Periodic live occupancy sample for the metrics snapshot and
+            // the sampler (the final value still lands via account());
+            // every 32nd batch keeps the sweep loop lean.
             if (tm != nullptr && (batches & 31U) == 0) {
               std::size_t occ = 0;
               for (std::size_t m : plan.mappers_of_combiner[j]) {
@@ -217,21 +203,16 @@ class PipelinedSpsc {
       std::vector<Record> emit_buf;
       // `emit` feeds records toward the ring — directly, or staged through
       // the emit buffer when producer batching is on; the per-task hook
-      // flushes the pre-combining and emit buffers so the combiners keep
-      // receiving data at task granularity (an idle/stalling mapper never
-      // sits on buffered records).
+      // flushes the emit buffer so the combiners keep receiving data at
+      // task granularity (an idle/stalling mapper never sits on buffered
+      // records).
       auto run_with = [&](auto backoff) {
         backoff.bind(&ctx.cancel.flag());
-        if constexpr (requires { backoff.bind_cap(nullptr); }) {
-          if (ctx.tuning != nullptr) {
-            backoff.bind_cap(ctx.tuning->sleep_cap_cell());
-          }
-        }
         // One blocked-on-full-ring wait step, shared by the element-wise
         // push loop and the batched flush loop.
         auto wait_full = [&] {
-          // Live mirror of the ring's failed-push count (the governor's
-          // congestion signal must be visible mid-phase, not at join).
+          // Live mirror of the ring's failed-push count, so the periodic
+          // metrics snapshot sees congestion mid-phase, not at join.
           // This is the slow path — the ring was full and we are about
           // to back off anyway.
           if (tm != nullptr) tm->queue_failed_pushes->increment(m);
@@ -269,43 +250,22 @@ class PipelinedSpsc {
         };
         auto push_record = [&](Record&& r) {
           ctx.injector.on_emit(m);
-          if (emit_init == 0) {
+          if (emit_batch == 0) {
             while (!ring.try_push(std::move(r))) wait_full();
             backoff.reset();
             return;
           }
           emit_buf.push_back(std::move(r));
-          // The batch size is re-read per emit so the governor can retune
-          // it mid-phase; a change never splits a block mid-flush.
-          const std::size_t want = ctx.tuning != nullptr
-                                       ? ctx.tuning->emit_batch()
-                                       : emit_init;
-          if (emit_buf.size() >= std::max<std::size_t>(1, want)) flush();
+          if (emit_buf.size() >= emit_batch) flush();
         };
-        if (cfg.precombine_slots > 0) {
-          PrecombineBuffer<key_type, value_type, typename Container::combiner>
-              buffer(cfg.precombine_slots);
-          executed = drain_map_tasks(
-              ctl, app, input,
-              [&](const key_type& k, const value_type& v) {
-                if (auto evicted = buffer.absorb(k, v)) {
-                  push_record(std::move(*evicted));
-                }
-              },
-              [&] {
-                buffer.flush(push_record);
-                if (!emit_buf.empty()) flush();
-              });
-        } else {
-          executed = drain_map_tasks(
-              ctl, app, input,
-              [&](const key_type& k, const value_type& v) {
-                push_record(Record{k, v});
-              },
-              [&] {
-                if (!emit_buf.empty()) flush();
-              });
-        }
+        executed = drain_map_tasks(
+            ctl, app, input,
+            [&](const key_type& k, const value_type& v) {
+              push_record(Record{k, v});
+            },
+            [&] {
+              if (!emit_buf.empty()) flush();
+            });
         // Close-time flush: nothing buffered may be lost when the stream
         // ends (the per-task hook normally leaves this empty).
         if (!emit_buf.empty()) flush();
@@ -316,12 +276,9 @@ class PipelinedSpsc {
         }
       };
       try {
-        // Reserving the governor's upper clamp up front keeps the emit
-        // buffer from reallocating mid-phase.
-        if (emit_init > 0) {
-          emit_buf.reserve(std::max(
-              emit_init, std::max<std::size_t>(1, cfg.queue_capacity / 2)));
-        }
+        // Reserving the flush threshold up front keeps the emit buffer
+        // from reallocating mid-phase.
+        emit_buf.reserve(emit_batch);
         switch (cfg.backoff) {
           case BackoffKind::kBusyWait:
             run_with(spsc::BusyWaitBackoff{});

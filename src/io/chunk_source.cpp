@@ -231,7 +231,7 @@ WindowData CopyChunkSource::next(char* scratch, std::size_t cap) {
 MmapChunkSource::MmapChunkSource(const std::string& path,
                                  std::size_t window_bytes,
                                  RecordBreak is_break)
-    : window_bytes_(window_bytes), is_break_(is_break) {
+    : path_(path), window_bytes_(window_bytes), is_break_(is_break) {
   if (window_bytes_ == 0) {
     throw ConfigError("streaming window must be at least 1 byte");
   }
@@ -259,6 +259,20 @@ WindowData MmapChunkSource::next(char* /*scratch*/, std::size_t cap) {
   if (offset_ >= file_size_) return {};
   const std::uint64_t nominal_end =
       std::min(offset_ + window, file_size_);
+  // The size was read at open. Pages past the file's current end raise
+  // SIGBUS when touched, so a file that shrank since must fail here, before
+  // the window is mapped. A truncation inside a window that is already
+  // mapped still raises SIGBUS; catching that needs a signal handler.
+  struct stat st{};
+  if (fstat(fd_, &st) != 0) throw_errno("cannot stat", path_);
+  const auto current_size = static_cast<std::uint64_t>(st.st_size);
+  if (current_size < nominal_end) {
+    throw Error("streaming input '" + path_ + "' shrank while mapped: the "
+                "window at offset " + std::to_string(offset_) + " needs " +
+                std::to_string(nominal_end) + " bytes, the file now has " +
+                std::to_string(current_size) + " (it had " +
+                std::to_string(file_size_) + " at open)");
+  }
   const std::uint64_t page =
       static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
   const std::uint64_t map_start = offset_ - (offset_ % page);

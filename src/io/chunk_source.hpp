@@ -136,6 +136,7 @@ class MmapChunkSource : public ChunkSource {
     std::size_t len = 0;
   };
 
+  std::string path_;
   int fd_ = -1;
   std::uint64_t file_size_ = 0;
   std::uint64_t offset_ = 0;

@@ -214,9 +214,6 @@ RamrResult simulate_ramr(const SimMachine& m, const SimWorkload& w,
   if (cfg.batch == 0 || cfg.batch > cfg.queue_capacity) {
     throw ConfigError("simulate_ramr: need 1 <= batch <= queue capacity");
   }
-  if (cfg.precombine_factor < 1.0) {
-    throw ConfigError("simulate_ramr: precombine_factor must be >= 1");
-  }
   RamrResult r;
   const auto& prof = w.profile;
   const std::size_t logical = m.topology.num_logical();
@@ -288,11 +285,7 @@ RamrResult simulate_ramr(const SimMachine& m, const SimWorkload& w,
   cc.res *= kDecoupleRelief;
 
   // ---- queue costs ---------------------------------------------------------
-  // Pre-combining (extension): the record stream entering the ring shrinks
-  // by the factor; the mapper pays a probe (~6 cycles) per original record.
-  const double kv_per_byte = prof.kv_per_byte / cfg.precombine_factor;
-  const double precombine_probe =
-      cfg.precombine_factor > 1.0 ? prof.kv_per_byte * 6.0 : 0.0;
+  const double kv_per_byte = prof.kv_per_byte;
   const double batch = static_cast<double>(cfg.batch);
   const double lines_per_kv = prof.comm_lines_per_kv > 0.0
                                   ? prof.comm_lines_per_kv
@@ -305,8 +298,7 @@ RamrResult simulate_ramr(const SimMachine& m, const SimWorkload& w,
                          ? kv_per_byte * lines_per_kv *
                                comm_cycles_per_line * kProducerRfoShare
                          : 0.0;
-  const double push =
-      kv_per_byte * m.queue_push_cycles + rfo + precombine_probe;
+  const double push = kv_per_byte * m.queue_push_cycles + rfo;
   const double pop_ctrl =
       kv_per_byte * (m.queue_pop_batch_cycles / batch +
                      m.queue_pop_elem_cycles);

@@ -63,11 +63,6 @@ struct RamrConfig {
   std::size_t queue_capacity = 5000;
   PinPolicy pin = PinPolicy::kRamrPaired;
   bool sleep_on_full = true;
-  // Mapper-side pre-combining (extension; see engine/precombine.hpp): the
-  // factor by which coalescing shrinks the record stream (1 = off). The
-  // mapper pays a small probe cost per ORIGINAL record; everything priced
-  // per record downstream (push, pop, communication) divides by the factor.
-  double precombine_factor = 1.0;
 };
 
 struct RamrResult {

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <thread>
 
 namespace ramr::spsc {
@@ -125,9 +124,7 @@ class ExponentialSleepBackoff {
     }
     ++sleeps_;
     std::this_thread::sleep_for(current_);
-    const std::chrono::microseconds cap = effective_cap();
-    current_ = current_ * 2 > cap ? cap : current_ * 2;
-    if (current_ > cap) current_ = cap;  // cap was lowered below current
+    current_ = current_ * 2 > cap_ ? cap_ : current_ * 2;
     return true;
   }
   void reset() {
@@ -136,31 +133,15 @@ class ExponentialSleepBackoff {
   }
   void bind(const std::atomic<bool>* stop) { stop_ = stop; }
 
-  // Observe a live cap (microseconds) instead of the constructed one; the
-  // adaptive governor retunes the cap mid-phase through this cell (see
-  // engine::TuningControl::sleep_cap_cell). A cap below the initial period
-  // clamps to it — the ladder never sleeps shorter than `initial`.
-  void bind_cap(const std::atomic<std::uint64_t>* cap_us) {
-    cap_source_ = cap_us;
-  }
-
   std::size_t sleep_count() const { return sleeps_; }
   std::chrono::microseconds current_period() const { return current_; }
 
  private:
-  std::chrono::microseconds effective_cap() const {
-    if (cap_source_ == nullptr) return cap_;
-    const auto live = std::chrono::microseconds(
-        cap_source_->load(std::memory_order_relaxed));
-    return live < initial_ ? initial_ : live;
-  }
-
   std::chrono::microseconds initial_;
   std::chrono::microseconds cap_;
   std::chrono::microseconds current_;
   unsigned spin_limit_;
   const std::atomic<bool>* stop_ = nullptr;
-  const std::atomic<std::uint64_t>* cap_source_ = nullptr;
   unsigned spins_ = 0;
   std::size_t sleeps_ = 0;
 };

@@ -298,18 +298,6 @@ void run_report_json(std::ostream& out, const RunReport& report) {
     w.end_array();
     w.end_object();
   }
-  if (!report.result.governor_actions.empty()) {
-    w.begin_array("governor_actions");
-    for (const engine::GovernorAction& a : report.result.governor_actions) {
-      w.begin_object();
-      w.field("seconds", a.seconds);
-      w.field("knob", a.knob);
-      w.field("from", a.from);
-      w.field("to", a.to);
-      w.end_object();
-    }
-    w.end_array();
-  }
 
   w.begin_array("phases");
   for (const PhaseEntry& p : report.phases) {

@@ -85,9 +85,8 @@ struct RunInfo {
   std::size_t task_aborts = 0;
 
   // Execution-plan provenance (empty strategy = not stamped, e.g. a
-  // hand-built report) and the governor's applied knob changes.
+  // hand-built report).
   engine::PlanInfo plan;
-  std::vector<engine::GovernorAction> governor_actions;
 
   // Process-wide peak RSS; the report always emits it in a "memory"
   // object, because it is stamped on every run.
@@ -125,7 +124,6 @@ RunInfo make_run_info(const engine::RunResult<K, V>& r) {
   info.task_retries = r.task_retries;
   info.task_aborts = r.task_aborts;
   info.plan = r.plan;
-  info.governor_actions = r.governor_actions;
   info.peak_rss_bytes = r.peak_rss_bytes;
   info.io = r.io;
   info.skew = r.skew;

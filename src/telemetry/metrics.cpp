@@ -137,56 +137,4 @@ MetricsSnapshot MetricRegistry::collect() const {
   return snap;
 }
 
-const CounterSnapshot* MetricsSnapshot::find_counter(
-    const std::string& name) const {
-  for (const CounterSnapshot& c : counters) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
-}
-
-const GaugeSnapshot* MetricsSnapshot::find_gauge(
-    const std::string& name) const {
-  for (const GaugeSnapshot& g : gauges) {
-    if (g.name == name) return &g;
-  }
-  return nullptr;
-}
-
-const HistogramSnapshot* MetricsSnapshot::find_histogram(
-    const std::string& name) const {
-  for (const HistogramSnapshot& h : histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
-MetricsSnapshot snapshot_delta(const MetricsSnapshot& now,
-                               const MetricsSnapshot& before) {
-  MetricsSnapshot delta = now;
-  for (CounterSnapshot& c : delta.counters) {
-    const CounterSnapshot* prev = before.find_counter(c.name);
-    if (prev == nullptr) continue;
-    // Monotonic per slot; guard against slot-count mismatches anyway.
-    c.total -= prev->total <= c.total ? prev->total : c.total;
-    const std::size_t n = std::min(c.per_slot.size(), prev->per_slot.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (prev->per_slot[i] <= c.per_slot[i]) {
-        c.per_slot[i] -= prev->per_slot[i];
-      }
-    }
-  }
-  for (HistogramSnapshot& h : delta.histograms) {
-    const HistogramSnapshot* prev = before.find_histogram(h.name);
-    if (prev == nullptr) continue;
-    h.count -= prev->count <= h.count ? prev->count : h.count;
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      if (prev->buckets[b] <= h.buckets[b]) {
-        h.buckets[b] -= prev->buckets[b];
-      }
-    }
-  }
-  return delta;
-}
-
 }  // namespace ramr::telemetry

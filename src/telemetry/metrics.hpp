@@ -127,21 +127,7 @@ struct MetricsSnapshot {
   std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
-
-  // Lookup helpers (nullptr when the metric does not exist — callers built
-  // on mid-phase snapshots must tolerate metrics that appear later).
-  const CounterSnapshot* find_counter(const std::string& name) const;
-  const GaugeSnapshot* find_gauge(const std::string& name) const;
-  const HistogramSnapshot* find_histogram(const std::string& name) const;
 };
-
-// Windowed view between two collect() calls from the same registry: counter
-// totals and histogram counts subtract (they are monotonic), gauges keep
-// the `now` value (last-value-wins has no meaningful delta). Metrics absent
-// from `before` pass through unchanged. The steady-state governor rates its
-// observation windows with this.
-MetricsSnapshot snapshot_delta(const MetricsSnapshot& now,
-                               const MetricsSnapshot& before);
 
 // The registry owns the metrics. Thread-safety contract mirrors
 // trace::Recorder: counter()/gauge()/histogram() create-or-return during

@@ -21,7 +21,6 @@ const char* to_string(EventKind kind) {
     case EventKind::kPhaseEnd: return "phase-end";
     case EventKind::kBackoffSleep: return "backoff-sleep";
     case EventKind::kTaskRetry: return "task-retry";
-    case EventKind::kGovernorAction: return "governor-action";
     case EventKind::kIoWindow: return "io-window";
     case EventKind::kIoStall: return "io-stall";
   }

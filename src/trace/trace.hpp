@@ -31,13 +31,10 @@ enum class EventKind : std::uint8_t {
   kBackoffSleep,  // a backoff wait actually slept (arg = sleeps performed)
   kTaskRetry,     // a map task is re-executed after a transient failure
                   // (arg = first split of the retried task)
-  kGovernorAction,  // the adaptive governor applied a knob change
-                    // (arg = the new value; see RunResult::governor_actions
-                    // for which knob and the old value)
-  kIoWindow,        // the IO lane published an input window as map tasks
-                    // (arg = window ordinal; streaming runs only)
-  kIoStall,         // the IO lane blocked waiting for a free window slot
-                    // (arg = window ordinal it was trying to fill)
+  kIoWindow,      // the IO lane published an input window as map tasks
+                  // (arg = window ordinal; streaming runs only)
+  kIoStall,       // the IO lane blocked waiting for a free window slot
+                  // (arg = window ordinal it was trying to fill)
 };
 
 const char* to_string(EventKind kind);

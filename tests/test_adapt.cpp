@@ -1,21 +1,18 @@
 // Tests for the adaptive runtime controller (src/adapt/): the suitability
 // model against the repo's Fig. 10a reproduction, the plan cache (round
-// trip + corrupt-file recovery), env-knob validation, the governor policy
-// and thread, and end-to-end probe/commit/cache runs on real inputs.
+// trip + corrupt-file recovery), env-knob validation, and end-to-end
+// probe/commit/cache runs on real inputs.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adapt/controller.hpp"
-#include "adapt/governor.hpp"
 #include "adapt/plan.hpp"
 #include "adapt/plan_cache.hpp"
 #include "adapt/suitability.hpp"
@@ -29,7 +26,6 @@
 #include "sim/model.hpp"
 #include "sim/workload.hpp"
 #include "synth/synth_app.hpp"
-#include "telemetry/metrics.hpp"
 #include "topology/topology.hpp"
 
 namespace ramr::adapt {
@@ -202,90 +198,11 @@ TEST(PlanCache, MissingFileIsEmptyNotCorrupt) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// ---- governor -------------------------------------------------------------
-
-TEST(Governor, DefaultPolicyDoublesUnderCongestion) {
-  DefaultTuningPolicy policy;
-  engine::TuningObservation obs;
-  obs.failed_push_rate = 0.20;
-  obs.batch_size = 64;
-  obs.sleep_cap_us = 100;
-  const engine::TuningDecision d = policy.on_observation(obs);
-  ASSERT_TRUE(d.batch_size.has_value());
-  EXPECT_EQ(*d.batch_size, 128u);
-  ASSERT_TRUE(d.sleep_cap_us.has_value());
-  EXPECT_EQ(*d.sleep_cap_us, 200u);
-}
-
-TEST(Governor, DefaultPolicyHalvesOnClearUnderrun) {
-  DefaultTuningPolicy policy;
-  engine::TuningObservation obs;
-  obs.failed_push_rate = 0.0;
-  obs.occupancy_fraction = 0.02;
-  obs.batch_p50 = 10;
-  obs.batch_size = 64;
-  obs.sleep_cap_us = 100;
-  const engine::TuningDecision d = policy.on_observation(obs);
-  ASSERT_TRUE(d.batch_size.has_value());
-  EXPECT_EQ(*d.batch_size, 32u);
-  EXPECT_FALSE(d.sleep_cap_us.has_value());
-}
-
-TEST(Governor, DefaultPolicyLeavesHealthySteadyStateAlone) {
-  DefaultTuningPolicy policy;
-  engine::TuningObservation obs;
-  obs.failed_push_rate = 0.01;
-  obs.occupancy_fraction = 0.5;
-  obs.batch_p50 = 60;
-  obs.batch_size = 64;
-  const engine::TuningDecision d = policy.on_observation(obs);
-  EXPECT_FALSE(d.batch_size.has_value());
-  EXPECT_FALSE(d.sleep_cap_us.has_value());
-}
-
-// The governor thread over fabricated live metrics: sustained failed
-// pushes must grow the batch, and every applied change stays within the
-// safe bounds (batch in [1, capacity/2]).
-TEST(Governor, ThreadReactsToFailedPushesWithinBounds) {
-  telemetry::MetricRegistry registry(1);
-  telemetry::Counter& failed = registry.counter("queue_failed_pushes");
-  telemetry::Histogram& batches = registry.histogram("batch_sizes");
-
-  engine::TuningControl control(64, 100);
-  DefaultTuningPolicy policy;
-  GovernorOptions options;
-  options.interval = std::chrono::microseconds(1000);
-  options.queue_capacity = 1024;
-  Governor governor(control, policy, registry, options);
-  governor.start();
-  for (int i = 0; i < 100 && control.batch_size() < 512; ++i) {
-    failed.add(0, 50);       // ~34% failure rate per window
-    batches.record(0, 96);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  governor.stop();
-
-  EXPECT_GT(control.batch_size(), 64u);
-  EXPECT_LE(control.batch_size(), 512u);  // capacity / 2
-  const auto actions = governor.actions();
-  ASSERT_FALSE(actions.empty());
-  for (const auto& a : actions) {
-    EXPECT_TRUE(a.knob == "batch_size" || a.knob == "sleep_cap_us") << a.knob;
-    if (a.knob == "batch_size") {
-      EXPECT_GE(a.to, 1u);
-      EXPECT_LE(a.to, 512u);
-    } else {
-      EXPECT_GE(a.to, 1u);
-      EXPECT_LE(a.to, 10'000'000u);
-    }
-  }
-}
-
 // ---- end-to-end controller runs -------------------------------------------
 
 RuntimeConfig adaptive_config(const std::string& cache_path) {
   RuntimeConfig cfg;
-  cfg.adapt_mode = AdaptMode::kFull;
+  cfg.adapt_mode = AdaptMode::kProbe;
   cfg.plan_cache_path = cache_path;
   cfg.pin_policy = PinPolicy::kOsDefault;
   cfg.num_mappers = 2;
@@ -335,9 +252,9 @@ TEST(AdaptE2E, LightWorkloadCommitsFusedAndStaysCorrect) {
 }
 
 // Heavy synthetic workload (expensive per-record combine carried in the
-// value): the empirical rule must commit the pipelined plan, the governor
-// must stay within bounds, and the plan report must be written.
-TEST(AdaptE2E, HeavyWorkloadCommitsPipelinedWithGovernor) {
+// value): the empirical rule must commit the pipelined plan, and the plan
+// report must be written.
+TEST(AdaptE2E, HeavyWorkloadCommitsPipelined) {
   const std::string cache = temp_path("adapt_heavy.json");
   const std::string report = temp_path("adapt_heavy_report.json");
   std::remove(cache.c_str());
@@ -365,15 +282,6 @@ TEST(AdaptE2E, HeavyWorkloadCommitsPipelinedWithGovernor) {
   std::uint64_t payload = 0;
   for (const auto& [k, v] : result.pairs) payload += v.payload;
   EXPECT_EQ(payload, synth::synth_expected_payload_sum(params.elements));
-
-  // Governor actions (if any fired on this host) stay within safe bounds.
-  for (const auto& a : result.governor_actions) {
-    EXPECT_TRUE(a.knob == "batch_size" || a.knob == "sleep_cap_us") << a.knob;
-    if (a.knob == "batch_size") {
-      EXPECT_GE(a.to, 1u);
-      EXPECT_LE(a.to, cfg.queue_capacity / 2);
-    }
-  }
 
   // The ramr-adapt-plan-v1 report documents the decision.
   std::ifstream in(report);
@@ -407,7 +315,6 @@ TEST(AdaptE2E, OffModeRunsTheStaticPath) {
   EXPECT_EQ(result.plan.strategy, "pipelined");
   EXPECT_EQ(result.plan.source, "default");
   EXPECT_FALSE(result.plan.decided());
-  EXPECT_TRUE(result.governor_actions.empty());
   EXPECT_EQ(result.summary().find("plan="), std::string::npos);
 }
 

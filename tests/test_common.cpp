@@ -212,6 +212,7 @@ class KnobEnvCleared {
     save("RAMR_SLEEP_ON_FULL");
     save("RAMR_MEM");
     save("RAMR_HUGEPAGES");
+    save("RAMR_PRECOMBINE");
   }
   ~KnobEnvCleared() {
     for (const auto& [name, value] : saved_) {
@@ -357,7 +358,7 @@ TEST(KnobTable, ReproducersThrowNamingTheVariable) {
     const char* name;
     const char* value;
   } cases[] = {
-      {"RAMR_PRECOMBINE", "9223372036854775809"},  // round_up_pow2 overflow
+      {"RAMR_QUEUE_CAPACITY", "9223372036854775809"},  // 2^63 + 1 overflow
       {"RAMR_MAPPERS", " -1"},
       {"RAMR_HEDGE_FACTOR", "nan"},
       {"RAMR_PMU", "bogus"},  // validated even with observability off
@@ -384,6 +385,8 @@ TEST(KnobTable, RetiredKnobsNameTheirReplacement) {
       {"RAMR_MEM", "arena", "RAMR_EMIT_BATCH=32"},
       {"RAMR_MEM", "off", "RAMR_EMIT_BATCH=32"},
       {"RAMR_HUGEPAGES", "off", "transparent-huge-page"},
+      {"RAMR_PRECOMBINE", "256", "RAMR_ADAPT=probe"},
+      {"RAMR_PRECOMBINE", "0", "RAMR_ADAPT=probe"},
   };
   for (const auto& c : cases) {
     env::ScopedOverride o(c.name, c.value);
@@ -411,13 +414,30 @@ TEST(KnobTable, ObsErrorListsTheLevels) {
   }
 }
 
+// "full" and "on" meant the probe plus an online retuner that is gone; a
+// value whose meaning changed fails rather than mapping onto "probe".
+TEST(KnobTable, AdaptErrorListsTheModes) {
+  KnobEnvCleared clear;
+  for (const char* value : {"full", "on"}) {
+    env::ScopedOverride o("RAMR_ADAPT", value);
+    try {
+      (void)RuntimeConfig::from_env();
+      ADD_FAILURE() << "RAMR_ADAPT=" << value << " was accepted";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("RAMR_ADAPT"), std::string::npos) << what;
+      EXPECT_NE(what.find("off|probe"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(KnobTable, PinnedRecordFlagsPlanKnobsOnly) {
   KnobEnvCleared clear;
   {
     env::ScopedOverride cap("RAMR_SLEEP_CAP_US", "2000");
     const RuntimeConfig cfg = RuntimeConfig::from_env();
     EXPECT_TRUE(cfg.pinned[Knob::kSleepCapMicros]);
-    // A governor knob, not a plan knob.
+    // A backoff knob, not a plan knob: the plan cache never records it.
     EXPECT_FALSE(cfg.pinned.any_plan_knob());
   }
   for (const char* plan_knob :

@@ -4,13 +4,9 @@
 // diagnostics.
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "common/config.hpp"
 #include "common/env.hpp"
-#include "common/rng.hpp"
 #include "core/runtime.hpp"
-#include "engine/precombine.hpp"
 #include "mini_apps.hpp"
 #include "phoenix/runtime.hpp"
 #include "topology/topology.hpp"
@@ -18,7 +14,6 @@
 namespace ramr::core {
 namespace {
 
-using engine::PrecombineBuffer;
 using testing::make_lines;
 using testing::make_numbers;
 using testing::ModCountApp;
@@ -175,77 +170,6 @@ TEST(RamrRuntime, OptionalReducerAppliedToEveryKey) {
   }
   static_assert(mr::HasReducer<testing::BucketAverageApp>);
   static_assert(!mr::HasReducer<testing::ModCountApp>);
-}
-
-// ---------- mapper-side pre-combining (extension) --------------------------------
-
-TEST(Precombine, BufferAbsorbsRepeatsAndEvictsOnWindowOverflow) {
-  PrecombineBuffer<std::uint64_t, std::uint64_t, containers::CountCombiner>
-      buf(16);
-  // Same key over and over: one slot, everything absorbed.
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(buf.absorb(7, 1), std::nullopt);
-  }
-  EXPECT_EQ(buf.absorbed(), 99u);
-  EXPECT_EQ(buf.occupied(), 1u);
-  std::vector<containers::KeyValue<std::uint64_t, std::uint64_t>> flushed;
-  buf.flush([&](auto&& r) { flushed.push_back(r); });
-  ASSERT_EQ(flushed.size(), 1u);
-  EXPECT_EQ(flushed[0].key, 7u);
-  EXPECT_EQ(flushed[0].value, 100u);  // all 100 ones combined
-  EXPECT_EQ(buf.occupied(), 0u);
-}
-
-TEST(Precombine, MassIsConservedUnderEvictions) {
-  // Far more distinct keys than slots: evictions must carry every count.
-  PrecombineBuffer<std::uint64_t, std::uint64_t, containers::CountCombiner>
-      buf(8);
-  std::map<std::uint64_t, std::uint64_t> out;
-  auto sink = [&](auto&& r) { out[r.key] += r.value; };
-  Xoshiro256 rng(9);
-  std::map<std::uint64_t, std::uint64_t> ref;
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t k = rng.below(300);
-    ref[k] += 1;
-    if (auto evicted = buf.absorb(k, 1)) sink(std::move(*evicted));
-  }
-  buf.flush(sink);
-  EXPECT_EQ(out, ref);
-  EXPECT_GT(buf.evictions(), 0u);
-}
-
-TEST(RamrRuntime, PrecombineReducesQueueTrafficAndStaysCorrect) {
-  // ModCount over 16 buckets: with pre-combining, pushes collapse from one
-  // per element to roughly one per (task, bucket).
-  const ModCountApp app;
-  const auto input = make_numbers(20000, 31);
-  const auto ref = app.reference(input);
-
-  RuntimeConfig off = small_config(2, 1);
-  Runtime<ModCountApp> rt_off(topo::host(), off);
-  const auto r_off = rt_off.run(app, input);
-  EXPECT_TRUE(pairs_match(r_off.pairs, ref));
-  EXPECT_EQ(r_off.queue_pushes, input.size());
-
-  RuntimeConfig on = off;
-  on.precombine_slots = 64;
-  Runtime<ModCountApp> rt_on(topo::host(), on);
-  const auto r_on = rt_on.run(app, input);
-  EXPECT_TRUE(pairs_match(r_on.pairs, ref));
-  EXPECT_LT(r_on.queue_pushes, input.size() / 10);  // > 10x less traffic
-}
-
-TEST(RamrRuntime, PrecombineWorksWithStringsAndTinyBuffers) {
-  const WordCountMiniApp app;
-  const auto input = make_lines(300, 32);
-  const auto ref = app.reference(input);
-  for (std::size_t slots : {2u, 8u, 1024u}) {
-    RuntimeConfig cfg = small_config(2, 2);
-    cfg.precombine_slots = slots;
-    Runtime<WordCountMiniApp> rt(topo::host(), cfg);
-    EXPECT_TRUE(pairs_match(rt.run(app, input).pairs, ref))
-        << slots << " slots";
-  }
 }
 
 TEST(RamrRuntime, BlockedSplitDistributionStaysCorrect) {

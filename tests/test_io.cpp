@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -187,6 +188,34 @@ TEST(ChunkSource, ExactlyWindowSizedFinalRecordIsNotTooBig) {
   EXPECT_EQ(w.size, 64u);
   EXPECT_EQ(std::string(w.data, w.size), record);
   EXPECT_EQ(source.next(scratch.data(), 64).size, 0u);
+}
+
+// The mmap source reads the file size once, at open; a file that shrinks
+// before the next window must give a clean Error, not a SIGBUS on the pages
+// past its new end.
+TEST(ChunkSource, MmapSourceFailsCleanlyWhenTheFileShrinks) {
+  const std::size_t window = 64 * 1024;
+  const std::string text = apps::make_text(400000, 300, 11);
+  ASSERT_GT(text.size(), 2 * window);
+  const std::string path = write_temp("shrink.txt", text);
+  io::MmapChunkSource source(path, window, io::text_record_break);
+  const io::WindowData first = source.next(nullptr, window);
+  ASSERT_GT(first.size, 0u);
+  std::filesystem::resize_file(path, 100);
+  try {
+    source.next(nullptr, window);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("offset " + std::to_string(first.size)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("now has 100"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(text.size())), std::string::npos)
+        << what;
+  }
+  source.retire(first);
 }
 
 TEST(ChunkSource, BinaryStreamCutsAnywhere) {

@@ -482,19 +482,6 @@ TEST(Transient, DepthSeriesIsSampled) {
   EXPECT_GT(t.sample_period_seconds, 0.0);
 }
 
-TEST(Ablation, PrecombineFactorShrinksQueueCosts) {
-  const SimMachine m = haswell();
-  const SimWorkload w = hwl_workload(AppId::kWordCount);
-  RamrConfig cfg;
-  cfg.batch = 1000;
-  const double off = simulate_ramr(m, w, cfg).phases.total();
-  cfg.precombine_factor = 5.7;  // WC's measured record reduction
-  const double on = simulate_ramr(m, w, cfg).phases.total();
-  EXPECT_LT(on, off);
-  cfg.precombine_factor = 0.5;
-  EXPECT_THROW(simulate_ramr(m, w, cfg), ConfigError);
-}
-
 TEST(TunedConfig, PrefersLargerRatioWhenCombinerIsCheap) {
   const SimMachine m = haswell();
   const auto cfg = tuned_config(m, hwl_workload(AppId::kPca), RamrConfig{});

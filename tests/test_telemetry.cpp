@@ -152,7 +152,18 @@ TEST(SamplerTest, CollectsMonotoneSeriesWhileWritersRun) {
     });
   }
   for (auto& th : writers) th.join();
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // stop() before the sampler thread first takes its lock would end the
+  // loop with no points, so wait (series() locks; safe while running) until
+  // one exists. The deadline only bounds a broken sampler.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto sampled = [&] {
+    const auto s = sampler.series();
+    return !s.empty() && !s[0].points.empty();
+  };
+  while (!sampled() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   sampler.stop();
 
   const auto series = sampler.series();
