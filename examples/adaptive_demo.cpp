@@ -1,5 +1,6 @@
 // Adaptive controller walkthrough: the same workload run twice through the
-// online autotuner (RAMR_ADAPT=probe).
+// online autotuner (RAMR_ADAPT=probe, the default), with the plan cache in a
+// file, so the warm run is served across calls.
 //
 // Cold run: the plan cache is empty, so the controller spends a bounded
 // calibration slice of the real input probing fused vs. pipelined
@@ -69,7 +70,6 @@ int main() {
   fs::remove(cache_path);  // guarantee the first run really is cold
 
   RuntimeConfig config;
-  config.adapt_mode = AdaptMode::kProbe;
   config.plan_cache_path = cache_path;
   config.pin_policy = PinPolicy::kOsDefault;
   config.num_mappers = 2;

@@ -20,8 +20,8 @@ int main() {
   params.combine_intensity = 4;
   params.elements = 50000;
   params.keys = 64;
-  // 200 splits: enough for the adaptive controller's calibration budget
-  // when the CI smoke step re-runs this example under RAMR_ADAPT=probe.
+  // 200 splits: enough for the adaptive controller's calibration budget,
+  // so the default RAMR_ADAPT=probe decides this run.
   params.split_elements = 250;
   params.arena_bytes = 1 << 20;
 
@@ -50,9 +50,10 @@ int main() {
 
   // --- 2. run the real runtime with the chosen ratio ----------------------
   // Env knobs (RAMR_ADAPT, RAMR_RATIO, ...) layer on top of the modelled
-  // choice, so `RAMR_ADAPT=probe ./synthetic_tuning` hands the decision to
-  // the online controller instead (the CI adaptive-smoke step does this and
-  // validates the RAMR_ADAPT_REPORT JSON it emits).
+  // choice. By default the online controller probes the modelled ratio
+  // against fused and commits the winner (the CI adaptive-smoke step
+  // validates the RAMR_ADAPT_REPORT JSON it emits); `RAMR_ADAPT=off
+  // ./synthetic_tuning` runs the modelled plan as is.
   synth::SynthApp app;
   app.container_keys = params.keys;
   RuntimeConfig config;

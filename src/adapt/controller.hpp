@@ -13,21 +13,26 @@
 //           suitability model (adapt/suitability.hpp).
 //   commit  The winner runs the rest of the input. Explicit env knobs are
 //           never overridden: precedence is env > cache > probe > defaults.
-//   cache   The committed plan persists per (app, input bucket, topology),
-//           so the next run skips the probe entirely.
+//   cache   The committed plan is kept per (app, input bucket, topology),
+//           so the next run skips the probe entirely: in memory, or in a
+//           file when plan_cache_path (RAMR_PLAN_CACHE) names one.
 //   trait   An app that combines in its map (mr::CombinesInMap) needs no
 //           probe: the plan is fused at compile time (source "trait"),
 //           and nothing is written to the cache.
+//   budget  An input too small to afford every candidate's slice
+//           (probe_affordable) runs the static plan; no cache is built.
 //
-// Entry point: run_adaptive(), called by the runtime front-ends when
-// RAMR_ADAPT != off. Everything here is additive — with the knob off, no
-// code in this header runs.
+// Entry point: run_adaptive(). core::Runtime::run calls it only for a
+// non-trait app whose input affords the budget, under the default
+// RAMR_ADAPT=probe; every other run, and every run under RAMR_ADAPT=off,
+// takes the Runtime's static path and runs no code in this header.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <typeinfo>
 #include <utility>
@@ -61,6 +66,26 @@ struct ControllerOptions {
 
   SuitabilityModel model;
 };
+
+// Whether the env pinned the pool split, which no plan may then change.
+inline bool ratio_pinned(const RuntimeConfig& cfg) {
+  return cfg.pinned[Knob::kRatio] || cfg.pinned[Knob::kMappers] ||
+         cfg.pinned[Knob::kCombiners];
+}
+
+// Whether `total_splits` affords a calibration slice for every candidate
+// (fused and pipelined, plus the balanced-ratio pipelined one unless the
+// ratio is pinned) within max_probe_fraction of the input. `cfg` is the
+// resolved config. core::Runtime and run_adaptive share this rule.
+inline bool probe_affordable(const RuntimeConfig& cfg,
+                             std::size_t total_splits,
+                             const ControllerOptions& options = {}) {
+  const std::size_t per = options.probe_tasks_per_candidate * cfg.task_size;
+  const std::size_t planned_candidates = ratio_pinned(cfg) ? 2 : 3;
+  return per > 0 && total_splits > 0 &&
+         static_cast<double>(planned_candidates * per) <=
+             options.max_probe_fraction * static_cast<double>(total_splits);
+}
 
 // Cache identity of the app: its declared kName when present, the mangled
 // type name otherwise (stable within a build, which is all a local plan
@@ -124,50 +149,56 @@ void accumulate_run(engine::RunResult<K, V>& into,
 }  // namespace detail
 
 // Runs `app` over `input` under the adaptive controller. `recorder` may be
-// null (no tracing). Callers should not invoke this with AdaptMode::kOff (it
-// would still work — one probe-less default run — but the static path is
-// cheaper). The committed plan's knobs hold for the whole main run. Pass
-// `base` as the caller gave it, before resolved(): engine::fused_width reads
-// whether the worker counts were fixed.
+// null (no tracing). The committed plan's knobs hold for the whole main
+// run. Pass `base` as the caller gave it, before resolved():
+// engine::fused_width reads whether the worker counts were fixed.
 //
 // Every pool set (probe and main run) is leased from `depot`: a caller that
 // passes a long-lived depot (core::Runtime does) amortizes pool spin-up
 // across a stream of invocations exactly like the plan cache amortizes the
 // probe. With no depot a function-local one is used — single-run behaviour,
-// single code path.
+// single code path. Likewise `plans`: core::Runtime passes the cache it
+// keeps; with none, a PlanCache over plan_cache_path is built here, and only
+// once the trait and budget checks have passed.
 template <mr::AppSpec S>
 mr::result_of<S> run_adaptive(const topo::Topology& topology,
                               const RuntimeConfig& base, const S& app,
                               const typename S::input_type& input,
                               trace::Recorder* recorder = nullptr,
                               ControllerOptions options = {},
-                              engine::PoolDepot* depot = nullptr) {
+                              engine::PoolDepot* depot = nullptr,
+                              PlanCache* plans = nullptr) {
   engine::PoolDepot local_depot;
   engine::PoolDepot& pools_from = depot != nullptr ? *depot : local_depot;
   const RuntimeConfig cfg = base.resolved(topology.num_logical());
   const std::size_t fused_width = engine::fused_width(topology, base);
-  const bool ratio_pinned =
-      cfg.pinned[Knob::kRatio] || cfg.pinned[Knob::kMappers] ||
-      cfg.pinned[Knob::kCombiners];
+  const bool pinned_ratio = ratio_pinned(cfg);
   const std::size_t total_splits = app.num_splits(input);
 
   const PlanKey key{app_label<S>(), input_size_bucket(total_splits),
                     topology_hash(topology)};
-  PlanCache cache(cfg.plan_cache_path);
 
   PlanDecision decision;
   engine::PlanInfo plan;  // empty strategy = nothing decided yet
   std::size_t probe_used = 0;
   std::vector<mr::result_of<S>> partials;
 
-  // ---- cache lookup, then probe; a trait app needs neither ---------------
-  if (mr::CombinesInMap<S>) {
-    // engine::lease_for picks its plan at the main run below.
-  } else if (auto hit = cache.lookup(key)) {
+  // ---- cache lookup, then probe; a trait app or a small input needs
+  // neither, and builds no cache ------------------------------------------
+  std::optional<PlanCache> local_plans;
+  const bool affordable = !mr::CombinesInMap<S> &&
+                          probe_affordable(cfg, total_splits, options);
+  if (affordable && plans == nullptr) {
+    plans = &local_plans.emplace(cfg.plan_cache_path);
+  }
+  if (!affordable) {
+    // The main run below uses the static config; the driver stamps trait
+    // or env/default provenance.
+  } else if (auto hit = plans->lookup(key)) {
     plan = *hit;
     // Env-pinned knobs beat the cache; unset cached fields fall back to the
     // config so old cache entries stay usable.
-    if (ratio_pinned || plan.ratio == 0) {
+    if (pinned_ratio || plan.ratio == 0) {
       plan.ratio = cfg.mapper_combiner_ratio;
     }
     if (cfg.pinned[Knob::kBatchSize] || plan.batch_size == 0) {
@@ -181,100 +212,91 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
     }
   } else {
     const std::size_t per = options.probe_tasks_per_candidate * cfg.task_size;
-    const std::size_t planned_candidates = ratio_pinned ? 2 : 3;
-    const bool budget_ok =
-        per > 0 && total_splits > 0 &&
-        static_cast<double>(planned_candidates * per) <=
-            options.max_probe_fraction * static_cast<double>(total_splits);
-    if (budget_ok) {
-      const engine::DriverOptions probe_opts = engine::driver_options_from(cfg);
+    const engine::DriverOptions probe_opts = engine::driver_options_from(cfg);
 
-      // Fused candidate: one general-purpose pool of engine::fused_width
-      // workers. Its slice contributes work and a wall-clock reference;
-      // the verdict itself comes from the pipelined probe.
-      double fused_wall = 0.0;
-      {
-        auto lease = pools_from.acquire_single(topology, fused_width, cfg);
-        engine::PoolSet& pools = lease.pools();
-        engine::PhaseDriver driver(pools, probe_opts);
-        engine::FusedCombine<SliceView<S>> strategy;
-        const SliceView<S> slice{&app, probe_used, per};
-        const auto t0 = now();
-        partials.push_back(driver.run(strategy, slice, input));
-        fused_wall = seconds_between(t0, now());
-        probe_used += per;
-      }
-      decision.candidates.push_back({"fused", "fused",
-                                     cfg.mapper_combiner_ratio, fused_wall,
-                                     0.0, false, "baseline calibration slice"});
-
-      const auto probe_pipelined =
-          [&](std::size_t ratio) -> std::pair<EmpiricalSample, double> {
-        RuntimeConfig pcfg = cfg;
-        if (ratio != cfg.mapper_combiner_ratio) {
-          pcfg.mapper_combiner_ratio = ratio;
-          pcfg.num_mappers = 0;  // re-derive the pool split from the ratio
-          pcfg.num_combiners = 0;
-        }
-        auto lease = pools_from.acquire(topology, pcfg);
-        engine::PoolSet& pools = lease.pools();
-        engine::PhaseDriver driver(pools, probe_opts);
-        engine::PipelinedSpsc<SliceView<S>> strategy;
-        const SliceView<S> slice{&app, probe_used, per};
-        const double map_cpu0 = pools.mapper_pool().cpu_seconds();
-        const double combine_cpu0 = pools.combiner_pool().cpu_seconds();
-        const auto t0 = now();
-        auto res = driver.run(strategy, slice, input);
-        const double wall = seconds_between(t0, now());
-        EmpiricalSample sample;
-        sample.map_cpu_seconds = pools.mapper_pool().cpu_seconds() - map_cpu0;
-        sample.combine_cpu_seconds =
-            pools.combiner_pool().cpu_seconds() - combine_cpu0;
-        sample.records = res.queue_pushes;
-        sample.wall_seconds = wall;
-        probe_used += per;
-        partials.push_back(std::move(res));
-        return {sample, wall};
-      };
-
-      std::size_t ratio = cfg.mapper_combiner_ratio;
-      const auto [base_sample, base_wall] = probe_pipelined(ratio);
-      const Verdict verdict = judge_empirical(options.model, base_sample);
-      decision.candidates.push_back(
-          {"pipelined@" + std::to_string(ratio), "pipelined", ratio, base_wall,
-           verdict.score, verdict.pipelined, verdict.reason});
-
-      if (verdict.pipelined && !ratio_pinned &&
-          base_sample.combine_cpu_seconds > 0.0) {
-        // The balanced ratio equalizes per-thread load across the pools:
-        // each combiner keeps up with `ratio` mappers when map is `ratio`
-        // times the CPU of combine (paper Sec. III-B).
-        const std::size_t suggested = std::clamp<std::size_t>(
-            static_cast<std::size_t>(
-                std::lround(base_sample.map_cpu_seconds /
-                            base_sample.combine_cpu_seconds)),
-            1, 8);
-        if (suggested != ratio) {
-          const auto [alt_sample, alt_wall] = probe_pipelined(suggested);
-          const Verdict alt = judge_empirical(options.model, alt_sample);
-          decision.candidates.push_back({"pipelined@" +
-                                             std::to_string(suggested),
-                                         "pipelined", suggested, alt_wall,
-                                         alt.score, alt.pipelined, alt.reason});
-          if (alt_wall < base_wall) ratio = suggested;
-        }
-      }
-
-      plan.strategy = verdict.pipelined ? "pipelined" : "fused";
-      plan.ratio = ratio;
-      plan.batch_size = cfg.batch_size;
-      plan.queue_capacity = cfg.queue_capacity;
-      plan.pin_policy = to_string(cfg.pin_policy);
-      plan.source = "probe";
-      cache.store(key, plan);
+    // Fused candidate: one general-purpose pool of engine::fused_width
+    // workers. Its slice contributes work and a wall-clock reference;
+    // the verdict itself comes from the pipelined probe.
+    double fused_wall = 0.0;
+    {
+      auto lease = pools_from.acquire_single(topology, fused_width, cfg);
+      engine::PoolSet& pools = lease.pools();
+      engine::PhaseDriver driver(pools, probe_opts);
+      engine::FusedCombine<SliceView<S>> strategy;
+      const SliceView<S> slice{&app, probe_used, per};
+      const auto t0 = now();
+      partials.push_back(driver.run(strategy, slice, input));
+      fused_wall = seconds_between(t0, now());
+      probe_used += per;
     }
-    // Budget too small: leave `plan` undecided — the main run below uses
-    // the static config and the driver stamps env/default provenance.
+    decision.candidates.push_back({"fused", "fused",
+                                   cfg.mapper_combiner_ratio, fused_wall,
+                                   0.0, false, "baseline calibration slice"});
+
+    const auto probe_pipelined =
+        [&](std::size_t ratio) -> std::pair<EmpiricalSample, double> {
+      RuntimeConfig pcfg = cfg;
+      if (ratio != cfg.mapper_combiner_ratio) {
+        pcfg.mapper_combiner_ratio = ratio;
+        pcfg.num_mappers = 0;  // re-derive the pool split from the ratio
+        pcfg.num_combiners = 0;
+      }
+      auto lease = pools_from.acquire(topology, pcfg);
+      engine::PoolSet& pools = lease.pools();
+      engine::PhaseDriver driver(pools, probe_opts);
+      engine::PipelinedSpsc<SliceView<S>> strategy;
+      const SliceView<S> slice{&app, probe_used, per};
+      const double map_cpu0 = pools.mapper_pool().cpu_seconds();
+      const double combine_cpu0 = pools.combiner_pool().cpu_seconds();
+      const auto t0 = now();
+      auto res = driver.run(strategy, slice, input);
+      const double wall = seconds_between(t0, now());
+      EmpiricalSample sample;
+      sample.map_cpu_seconds = pools.mapper_pool().cpu_seconds() - map_cpu0;
+      sample.combine_cpu_seconds =
+          pools.combiner_pool().cpu_seconds() - combine_cpu0;
+      sample.records = res.queue_pushes;
+      sample.wall_seconds = wall;
+      probe_used += per;
+      partials.push_back(std::move(res));
+      return {sample, wall};
+    };
+
+    std::size_t ratio = cfg.mapper_combiner_ratio;
+    const auto [base_sample, base_wall] = probe_pipelined(ratio);
+    const Verdict verdict = judge_empirical(options.model, base_sample);
+    decision.candidates.push_back(
+        {"pipelined@" + std::to_string(ratio), "pipelined", ratio, base_wall,
+         verdict.score, verdict.pipelined, verdict.reason});
+
+    if (verdict.pipelined && !pinned_ratio &&
+        base_sample.combine_cpu_seconds > 0.0) {
+      // The balanced ratio equalizes per-thread load across the pools:
+      // each combiner keeps up with `ratio` mappers when map is `ratio`
+      // times the CPU of combine (paper Sec. III-B).
+      const std::size_t suggested = std::clamp<std::size_t>(
+          static_cast<std::size_t>(
+              std::lround(base_sample.map_cpu_seconds /
+                          base_sample.combine_cpu_seconds)),
+          1, 8);
+      if (suggested != ratio) {
+        const auto [alt_sample, alt_wall] = probe_pipelined(suggested);
+        const Verdict alt = judge_empirical(options.model, alt_sample);
+        decision.candidates.push_back({"pipelined@" +
+                                           std::to_string(suggested),
+                                       "pipelined", suggested, alt_wall,
+                                       alt.score, alt.pipelined, alt.reason});
+        if (alt_wall < base_wall) ratio = suggested;
+      }
+    }
+
+    plan.strategy = verdict.pipelined ? "pipelined" : "fused";
+    plan.ratio = ratio;
+    plan.batch_size = cfg.batch_size;
+    plan.queue_capacity = cfg.queue_capacity;
+    plan.pin_policy = to_string(cfg.pin_policy);
+    plan.source = "probe";
+    plans->store(key, plan);
   }
   decision.probe_splits_used = probe_used;
 
@@ -284,7 +306,7 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
   // mcfg, and the run stamps the plan from it.
   RuntimeConfig mcfg = cfg;
   if (decided) {
-    if (!ratio_pinned && plan.ratio != cfg.mapper_combiner_ratio) {
+    if (!pinned_ratio && plan.ratio != cfg.mapper_combiner_ratio) {
       mcfg.mapper_combiner_ratio = plan.ratio;
       mcfg.num_mappers = 0;
       mcfg.num_combiners = 0;

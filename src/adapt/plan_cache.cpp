@@ -1,12 +1,10 @@
 #include "adapt/plan_cache.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "common/env.hpp"
 #include "telemetry/json.hpp"
 
 namespace ramr::adapt {
@@ -166,18 +164,7 @@ class Scanner {
 }  // namespace
 
 PlanCache::PlanCache(std::string path) : path_(std::move(path)) {
-  if (path_.empty()) path_ = default_path();
-  load();
-}
-
-std::string PlanCache::default_path() {
-  if (auto xdg = env::get("XDG_CACHE_HOME"); xdg && !xdg->empty()) {
-    return *xdg + "/ramr/plans.json";
-  }
-  if (auto home = env::get("HOME"); home && !home->empty()) {
-    return *home + "/.cache/ramr/plans.json";
-  }
-  return "ramr_plans.json";
+  if (!path_.empty()) load();
 }
 
 void PlanCache::load() {
@@ -227,6 +214,7 @@ void PlanCache::store(const PlanKey& key, const engine::PlanInfo& plan) {
 }
 
 void PlanCache::save() const {
+  if (path_.empty()) return;
   std::error_code ec;
   const std::filesystem::path p(path_);
   if (p.has_parent_path()) {

@@ -1,13 +1,15 @@
-// Persistent plan cache: repeated runs of the same (app, input bucket,
-// topology) skip the probe phase entirely.
+// Plan cache: repeated runs of the same (app, input bucket, topology) skip
+// the probe phase entirely.
 //
-// Storage is one JSON file ("ramr-plan-cache-v1", flat objects under a
-// "plans" array), written with telemetry::JsonWriter and read back by a
-// deliberately tolerant scanner scoped to exactly that shape — the repo
-// has no general JSON dependency and does not want one. A file that fails
-// to parse (corrupt, truncated, or a future schema) is treated as empty
-// and `corrupt()` reports it; the next store() rewrites the file whole,
-// which is the recovery path the tests exercise.
+// With an empty path the cache lives only in memory: core::Runtime keeps
+// one per instance, so later runs in a size bucket skip the probe without
+// any file IO. With a path, storage is one JSON file ("ramr-plan-cache-v1",
+// flat objects under a "plans" array), written with telemetry::JsonWriter
+// and read back by a deliberately tolerant scanner scoped to exactly that
+// shape — the repo has no general JSON dependency and does not want one.
+// A file that fails to parse (corrupt, truncated, or a future schema) is
+// treated as empty and `corrupt()` reports it; the next store() rewrites
+// the file whole, which is the recovery path the tests exercise.
 //
 // The cache is advisory: every I/O failure degrades to a probe, never to
 // an error. Concurrent writers last-write-win a whole file (plans are
@@ -26,8 +28,8 @@ namespace ramr::adapt {
 
 class PlanCache {
  public:
-  // Empty path = default_path(). The file is loaded eagerly; a missing
-  // file is an empty cache (not corrupt).
+  // Empty path = in memory only. Otherwise the file is loaded eagerly; a
+  // missing file is an empty cache (not corrupt).
   explicit PlanCache(std::string path = "");
 
   const std::string& path() const { return path_; }
@@ -41,15 +43,10 @@ class PlanCache {
   // The cached plan for this key, with source set to "cache".
   std::optional<engine::PlanInfo> lookup(const PlanKey& key) const;
 
-  // Insert-or-replace, then rewrite the file (best-effort: an unwritable
-  // path keeps the in-memory entry and degrades silently — the cache must
-  // never fail a run).
+  // Insert-or-replace, then rewrite the file when there is one
+  // (best-effort: an unwritable path keeps the in-memory entry and degrades
+  // silently — the cache must never fail a run).
   void store(const PlanKey& key, const engine::PlanInfo& plan);
-
-  // $RAMR_PLAN_CACHE is resolved by RuntimeConfig::from_env before it gets
-  // here; this is the fallback: $XDG_CACHE_HOME/ramr/plans.json, else
-  // $HOME/.cache/ramr/plans.json, else ./ramr_plans.json.
-  static std::string default_path();
 
  private:
   void load();

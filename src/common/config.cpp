@@ -157,10 +157,10 @@ void for_each_knob(Config& c, Visit&& v) {
     c.flight_events, Uint{16, 1'048'576});
   // Adaptive controller (src/adapt/, docs/TUNING.md).
   v({Knob::kAdapt, "RAMR_ADAPT", kRun,
-     "online autotuner: static, or probe + plan cache"},
+     "fused or pipelined per job: `probe` decides big inputs, `off` = static"},
     c.adapt_mode, kAdaptModes);
   v({Knob::kPlanCache, "RAMR_PLAN_CACHE", kRun,
-     "plan-cache path (unset = `~/.cache/ramr/plans.json`)"},
+     "plan-cache file (unset = in memory, per Runtime)"},
     c.plan_cache_path, Text{});
   v({Knob::kAdaptReport, "RAMR_ADAPT_REPORT", kRun,
      "path for the `ramr-adapt-plan-v1` decision JSON"},

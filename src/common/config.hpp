@@ -54,9 +54,10 @@ enum class BackoffKind {
 
 std::string to_string(BackoffKind kind);
 
-// Adaptive-controller mode (src/adapt/): off = static knobs only (the
-// historical behaviour), probe = calibrate a plan on a bounded input slice
-// (and cache it); the committed plan's knobs then hold for the whole run.
+// Adaptive-controller mode (src/adapt/): probe (the default) = a non-trait
+// app on an input that affords the probe budget calibrates its plan on a
+// bounded input slice (and caches it); the committed plan's knobs then hold
+// for the whole run. off = the static plan for every run.
 enum class AdaptMode {
   kOff,
   kProbe,
@@ -200,12 +201,12 @@ struct RuntimeConfig {
 
   // ---- adaptive-controller knobs (see src/adapt/, docs/TUNING.md) --------
 
-  // Off keeps every existing code path; probe/full route
-  // core::Runtime::run through the adapt::Controller.
-  AdaptMode adapt_mode = AdaptMode::kOff;
+  // Probe lets core::Runtime::run decide fused or pipelined for each big
+  // non-trait job through adapt::run_adaptive; off runs the static plan.
+  AdaptMode adapt_mode = AdaptMode::kProbe;
 
-  // Plan-cache file. Empty = the default location,
-  // $XDG_CACHE_HOME/ramr/plans.json or ~/.cache/ramr/plans.json.
+  // Plan-cache file, loaded once per Runtime. Empty = no file: each
+  // Runtime keeps its decided plans in memory.
   std::string plan_cache_path;
 
   // Where the controller writes its ramr-adapt-plan-v1 decision JSON

@@ -15,12 +15,22 @@
 // engine::lease_for picks engine::FusedCombine at compile time, on a single
 // pool of engine::fused_width workers, plan source "trait"; the dual pool
 // set is never built.
+//
+// Every other app is decided per run under the default RAMR_ADAPT=probe:
+// when the input affords the probe budget (adapt::probe_affordable), run()
+// hands the job to adapt::run_adaptive, which probes fused against
+// pipelined on the first slices of the real input (paper Fig. 10) and
+// commits the winner. The Runtime keeps each decided plan per size bucket,
+// so later runs in that bucket neither probe nor read a file. Smaller
+// inputs, streams and RAMR_ADAPT=off run the static dual plan.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "adapt/controller.hpp"
+#include "adapt/plan_cache.hpp"
 #include "common/config.hpp"
 #include "engine/phase_driver.hpp"
 #include "engine/pool_depot.hpp"
@@ -43,22 +53,18 @@ class Runtime {
   // The config is resolved against the topology (worker counts derived from
   // the machine when left at 0) at construction, so impossible configs
   // still fail eagerly. The pools themselves are leased from a PoolDepot:
-  // per-Runtime by default (same lifetime as before — threads pinned at
-  // start-up "throughout the MR invocation", paper Sec. III-B), or the
-  // process-wide depot when service_mode (RAMR_SERVICE=1) is on, so warm
-  // pool sets survive individual Runtime instances. The static path leases
-  // eagerly; the adaptive path defers, because run() routes through
-  // adapt::run_adaptive, which leases its own (possibly differently
-  // shaped) pools — constructing a full pool set here would spin up and
-  // pin threads that never execute a task.
+  // per-Runtime by default, or the process-wide depot when service_mode
+  // (RAMR_SERVICE=1) is on, so warm pool sets survive individual Runtime
+  // instances. Leasing waits for the first run, which knows the plan it
+  // needs: the static path keeps its lease (threads pinned "throughout the
+  // MR invocation", paper Sec. III-B), and a decided run leases per run
+  // through adapt::run_adaptive.
   Runtime(topo::Topology topology, RuntimeConfig config)
       : topo_(std::move(topology)),
         base_(std::move(config)),
         cfg_(base_.resolved(topo_.num_logical())),
         depot_(cfg_.service_mode ? &engine::PoolDepot::process()
-                                 : &own_depot_) {
-    if (cfg_.adapt_mode == AdaptMode::kOff) ensure_pools();
-  }
+                                 : &own_depot_) {}
 
   const RuntimeConfig& config() const { return cfg_; }
   const topo::PinningPlan& plan() { return ensure_pools().plan(); }
@@ -78,22 +84,25 @@ class Runtime {
   }
 
   // The telemetry session created from the config's observability knobs
-  // (RAMR_OBS=metrics or full), sized to the leased pools; nullptr when it
-  // is off or the adaptive path runs (it builds its own). Exporters read
-  // phase counters / metrics / series from it after run() (see
-  // telemetry/export.hpp).
+  // (RAMR_OBS=metrics or full), sized to the static path's pools; nullptr
+  // when it is off or before the static path first runs (a decided run
+  // builds its own). Exporters read phase counters / metrics / series from
+  // it after run() (see telemetry/export.hpp).
   telemetry::Session* telemetry() { return telemetry_.get(); }
 
   mr::result_of<S> run(const S& app, const typename S::input_type& input) {
-    // RAMR_ADAPT=probe routes through the adaptive controller, which
-    // leases its own pools (the probed plan may change the pool shape) and
-    // builds its own telemetry session sized to them. Handing it this
-    // Runtime's depot lets probe and main-run pool sets recycle across a
-    // stream of run() calls — the plan cache already amortizes the probe,
-    // the depot now amortizes the spin-up.
-    if (cfg_.adapt_mode != AdaptMode::kOff) {
-      return adapt::run_adaptive(topo_, base_, app, input, recorder_, {},
-                                 depot_);
+    // A non-trait app on an input that affords the probe budget is decided
+    // by the adaptive controller, which leases its own pools (the plan may
+    // change the pool shape) and builds its own telemetry session sized to
+    // them. Handing it this Runtime's depot and plan cache lets pool sets
+    // and plans recycle across a stream of run() calls.
+    if constexpr (!mr::CombinesInMap<S>) {
+      if (cfg_.adapt_mode == AdaptMode::kProbe &&
+          adapt::probe_affordable(cfg_, app.num_splits(input))) {
+        if (!plans_) plans_.emplace(cfg_.plan_cache_path);
+        return adapt::run_adaptive(topo_, base_, app, input, recorder_, {},
+                                   depot_, &*plans_);
+      }
     }
     engine::Strategy<S> strategy;
     ensure_pools();
@@ -137,6 +146,7 @@ class Runtime {
   std::unique_ptr<telemetry::Session> telemetry_;
   engine::PoolDepot::Lease lease_;
   std::unique_ptr<engine::PhaseDriver> driver_;
+  std::optional<adapt::PlanCache> plans_;  // built by the first decided run
   trace::Recorder* recorder_ = nullptr;
 };
 

@@ -63,7 +63,9 @@ void Sampler::stop() {
 
 void Sampler::loop() {
   std::unique_lock lock(mutex_);
-  while (!stopping_) {
+  // Sample before the first stopping_ check: a stop() that lands before
+  // this thread first takes the lock still leaves one point per live probe.
+  do {
     const double t = seconds_between(epoch_, now());
     for (Slot& slot : slots_) {
       if (!slot.probe) continue;
@@ -73,8 +75,7 @@ void Sampler::loop() {
       }
       slot.data.points.emplace_back(t, slot.probe());
     }
-    cv_.wait_for(lock, period_, [this] { return stopping_; });
-  }
+  } while (!cv_.wait_for(lock, period_, [this] { return stopping_; }));
 }
 
 std::vector<Sampler::Series> Sampler::series() const {

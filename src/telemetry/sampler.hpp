@@ -89,7 +89,9 @@ class Sampler {
   }
 
   // Starts/stops the sampling thread. start() is idempotent while running;
-  // stop() joins the thread (series remain readable). The destructor stops.
+  // stop() joins the thread (series remain readable). Every probe live at
+  // the thread's first tick gets a point, however soon stop() follows. The
+  // destructor stops.
   void start();
   void stop();
 

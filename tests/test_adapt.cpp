@@ -1,11 +1,13 @@
 // Tests for the adaptive runtime controller (src/adapt/): the suitability
 // model against the repo's Fig. 10a reproduction, the plan cache (round
-// trip + corrupt-file recovery), env-knob validation, and end-to-end
-// probe/commit/cache runs on real inputs.
+// trip + corrupt-file recovery), env-knob validation, end-to-end
+// probe/commit/cache runs on real inputs, and what core::Runtime decides
+// under the default config.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -17,8 +19,12 @@
 #include "adapt/plan_cache.hpp"
 #include "adapt/suitability.hpp"
 #include "apps/flavor.hpp"
+#include "apps/histogram.hpp"
+#include "apps/inputs.hpp"
 #include "apps/suite.hpp"
+#include "apps/wordcount.hpp"
 #include "common/config.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "core/runtime.hpp"
 #include "mini_apps.hpp"
@@ -202,7 +208,6 @@ TEST(PlanCache, MissingFileIsEmptyNotCorrupt) {
 
 RuntimeConfig adaptive_config(const std::string& cache_path) {
   RuntimeConfig cfg;
-  cfg.adapt_mode = AdaptMode::kProbe;
   cfg.plan_cache_path = cache_path;
   cfg.pin_policy = PinPolicy::kOsDefault;
   cfg.num_mappers = 2;
@@ -297,20 +302,22 @@ TEST(AdaptE2E, HeavyWorkloadCommitsPipelined) {
   std::remove(report.c_str());
 }
 
-// RAMR_ADAPT=off keeps the historical path: no probe, default provenance,
-// and a summary() with no plan mention (byte-stable output).
+// RAMR_ADAPT=off runs the static plan even on an input that affords the
+// probe: no probe, default provenance, and a summary() with no plan
+// mention.
 TEST(AdaptE2E, OffModeRunsTheStaticPath) {
   RuntimeConfig cfg;
+  cfg.adapt_mode = AdaptMode::kOff;
   cfg.pin_policy = PinPolicy::kOsDefault;
   cfg.num_mappers = 2;
   cfg.num_combiners = 1;
-  ASSERT_EQ(cfg.adapt_mode, AdaptMode::kOff);
 
   ramr::testing::ModCountApp app;
-  std::vector<std::uint64_t> input(2048);
+  std::vector<std::uint64_t> input(16384);
   for (std::size_t i = 0; i < input.size(); ++i) input[i] = i * 7;
 
   core::Runtime<ramr::testing::ModCountApp> runtime(topo::host(), cfg);
+  ASSERT_TRUE(probe_affordable(runtime.config(), app.num_splits(input)));
   const auto result = runtime.run(app, input);
   EXPECT_EQ(result.plan.strategy, "pipelined");
   EXPECT_EQ(result.plan.source, "default");
@@ -319,23 +326,22 @@ TEST(AdaptE2E, OffModeRunsTheStaticPath) {
 }
 
 // HG combines in its map: the plan is fused at compile time, so a cold
-// probe-mode run spends no input on probing and writes no cache entry, on
-// an input large enough that a non-trait app would probe.
+// run_adaptive call spends no input on probing and writes no cache entry,
+// on an input large enough that a non-trait app would probe.
+// (core::Runtime does not enter the controller for a trait app at all.)
 TEST(AdaptE2E, TraitAppSkipsProbeAndCache) {
   const std::string cache = temp_path("adapt_trait.json");
   const std::string report = temp_path("adapt_trait_report.json");
   std::remove(cache.c_str());
   std::remove(report.c_str());
   RuntimeConfig cfg;
-  cfg.adapt_mode = AdaptMode::kProbe;
   cfg.plan_cache_path = cache;
   cfg.adapt_report_path = report;
   cfg.pin_policy = PinPolicy::kOsDefault;
   using App = apps::HistogramApp<apps::ContainerFlavor::kDefault>;
   const apps::PixelInput input{apps::make_pixels(256 * 1024, 7), 1024};
 
-  core::Runtime<App> runtime(topo::host(), cfg);
-  const auto result = runtime.run(App{}, input);
+  const auto result = run_adaptive(topo::host(), cfg, App{}, input);
   EXPECT_EQ(result.plan.strategy, "fused");
   EXPECT_EQ(result.plan.source, "trait");
   const std::map<std::uint64_t, std::uint64_t> got(result.pairs.begin(),
@@ -375,6 +381,111 @@ TEST(AdaptE2E, TinyInputSkipsProbing) {
       input_size_bucket(app.num_splits(input)),
       topology_hash(topo::host())}).has_value());
   std::remove(cache.c_str());
+}
+
+// ---- the default config: RAMR_ADAPT=probe -----------------------------------
+//
+// These tests do not assert which strategy the probe picks: under Debug and
+// the sanitizers the CPU-per-record verdict can flip. The AdaptE2E verdict
+// tests above own that.
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// 128 splits of 2 KiB: affords the probe budget of the default config.
+apps::TextInput big_text() {
+  return apps::TextInput{apps::make_text(256 * 1024, 500, 3), 2048};
+}
+
+template <typename Pairs>
+void expect_wordcount(const Pairs& pairs, const apps::TextInput& input) {
+  const auto reference = apps::wordcount_reference(input);
+  ASSERT_EQ(pairs.size(), reference.size());
+  for (const auto& [k, v] : pairs) EXPECT_EQ(reference.at(k), v) << k;
+}
+
+TEST(AdaptDefault, BigWordCountIsDecidedThenServedFromMemory) {
+  using App = apps::WordCountApp<apps::ContainerFlavor::kDefault>;
+  const RuntimeConfig cfg;
+  ASSERT_EQ(cfg.adapt_mode, AdaptMode::kProbe);
+  ASSERT_TRUE(cfg.plan_cache_path.empty());
+  const App app;
+  const apps::TextInput input = big_text();
+
+  core::Runtime<App> runtime(topo::host(), cfg);
+  ASSERT_TRUE(probe_affordable(runtime.config(), app.num_splits(input)));
+  const auto cold = runtime.run(app, input);
+  EXPECT_TRUE(cold.plan.decided());
+  EXPECT_EQ(cold.plan.source, "probe");
+  expect_wordcount(cold.pairs, input);
+
+  // Same Runtime, same size bucket: the plan comes from its memory.
+  const auto warm = runtime.run(app, input);
+  EXPECT_EQ(warm.plan.source, "cache");
+  EXPECT_EQ(warm.plan.strategy, cold.plan.strategy);
+  expect_wordcount(warm.pairs, input);
+}
+
+// A trait app and an under-budget input build no plan cache: a file the
+// config names is neither read into a plan nor rewritten.
+TEST(AdaptDefault, TraitAndSmallRunsLeaveThePlanCacheFileAlone) {
+  const std::string cache = temp_path("adapt_untouched.json");
+  const std::string corrupt = "{\"plans\": [not json at all";
+  {
+    std::ofstream out(cache, std::ios::binary | std::ios::trunc);
+    out << corrupt;
+  }
+  RuntimeConfig cfg;
+  cfg.plan_cache_path = cache;
+  cfg.pin_policy = PinPolicy::kOsDefault;
+
+  using Hg = apps::HistogramApp<apps::ContainerFlavor::kDefault>;
+  const apps::PixelInput pixels{apps::make_pixels(256 * 1024, 7), 1024};
+  core::Runtime<Hg> hg(topo::host(), cfg);
+  const auto traited = hg.run(Hg{}, pixels);
+  EXPECT_EQ(traited.plan.source, "trait");
+  const std::map<std::uint64_t, std::uint64_t> got(traited.pairs.begin(),
+                                                   traited.pairs.end());
+  EXPECT_EQ(got, apps::histogram_reference(pixels));
+  EXPECT_EQ(read_file(cache), corrupt);
+
+  ramr::testing::ModCountApp app;
+  std::vector<std::uint64_t> input(96);  // 2 splits at chunk 64
+  for (std::size_t i = 0; i < input.size(); ++i) input[i] = i;
+  core::Runtime<ramr::testing::ModCountApp> small(topo::host(), cfg);
+  ASSERT_FALSE(probe_affordable(small.config(), app.num_splits(input)));
+  const auto result = small.run(app, input);
+  EXPECT_EQ(result.plan.source, "default");
+  std::uint64_t total = 0;
+  for (const auto& [k, v] : result.pairs) total += v;
+  EXPECT_EQ(total, input.size());
+  EXPECT_EQ(read_file(cache), corrupt);
+  std::remove(cache.c_str());
+}
+
+// With no plan_cache_path the decided plans stay in memory: a big run
+// creates nothing under $HOME or $XDG_CACHE_HOME.
+TEST(AdaptDefault, BigRunWritesNothingUnderHome) {
+  namespace fs = std::filesystem;
+  const fs::path home = temp_path("adapt_home");
+  fs::remove_all(home);
+  fs::create_directories(home);
+  env::ScopedOverride h("HOME", home.string());
+  env::ScopedOverride x("XDG_CACHE_HOME", home.string());
+
+  using App = apps::WordCountApp<apps::ContainerFlavor::kDefault>;
+  const App app;
+  const apps::TextInput input = big_text();
+  core::Runtime<App> runtime(topo::host(), RuntimeConfig{});
+  const auto result = runtime.run(app, input);
+  EXPECT_EQ(result.plan.source, "probe");
+  expect_wordcount(result.pairs, input);
+  EXPECT_TRUE(fs::is_empty(home));
+  fs::remove_all(home);
 }
 
 }  // namespace

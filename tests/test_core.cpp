@@ -33,7 +33,11 @@ RuntimeConfig small_config(std::size_t mappers, std::size_t combiners) {
 TEST(RamrRuntime, ModCountMatchesReference) {
   const ModCountApp app;
   const auto input = make_numbers(10000, 1);
-  Runtime<ModCountApp> rt(topo::host(), small_config(3, 2));
+  // The input affords the probe, whose plan may be fused: pin the pipeline
+  // to count its pushes.
+  RuntimeConfig cfg = small_config(3, 2);
+  cfg.adapt_mode = AdaptMode::kOff;
+  Runtime<ModCountApp> rt(topo::host(), cfg);
   const auto result = rt.run(app, input);
   EXPECT_TRUE(pairs_match(result.pairs, app.reference(input)));
   EXPECT_GT(result.queue_pushes, 0u);

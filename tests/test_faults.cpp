@@ -298,6 +298,7 @@ TEST(TaskRetry, TransientFaultsRetriedToSuccessPipelined) {
   const ModCountApp app;
   const auto input = make_numbers(10000, 7);
   RuntimeConfig cfg = ramr_config(2, 1);
+  cfg.adapt_mode = AdaptMode::kOff;  // one pipelined run, no probe slices
   cfg.fault_spec = "map_task=0,map_transient=1,map_fires=2";
   cfg.max_task_retries = 3;
   core::Runtime<ModCountApp> rt(topo::host(), cfg);
@@ -346,6 +347,7 @@ TEST(Watchdog, InjectedStallTripsStallVerdict) {
   const ModCountApp app;
   const auto input = make_numbers(40000, 11);
   RuntimeConfig cfg = ramr_config(2, 1);
+  cfg.adapt_mode = AdaptMode::kOff;  // the stall lands on a mapper
   // Emission #100 hangs "forever"; the watchdog must cut the run loose long
   // before the stall would naturally end.
   cfg.fault_spec = "stall_emit=100,stall_ms=60000";

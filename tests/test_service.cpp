@@ -427,7 +427,9 @@ TEST(ServiceMode, RuntimeReusesProcessPools) {
   env::ScopedOverride service("RAMR_SERVICE", "1");
 
   const ModCountApp app;
-  const auto input = make_numbers(10000, 5);
+  // Below the probe budget: the static path keeps its lease, which
+  // pools_warm() reports.
+  const auto input = make_numbers(1000, 5);
   const auto reference = app.reference(input);
   // from_env picks up RAMR_SERVICE=1 the way a real client would.
   const RuntimeConfig cfg = RuntimeConfig::from_env(job_config(2, 1));
@@ -435,33 +437,39 @@ TEST(ServiceMode, RuntimeReusesProcessPools) {
 
   {
     core::Runtime<ModCountApp> rt(topo::host(), cfg);
-    EXPECT_FALSE(rt.pools_warm());
     EXPECT_TRUE(pairs_match(rt.run(app, input).pairs, reference));
+    EXPECT_FALSE(rt.pools_warm());
   }
   {
     // A second Runtime instance inherits the warm process-wide pool set.
     core::Runtime<ModCountApp> rt(topo::host(), cfg);
-    EXPECT_TRUE(rt.pools_warm());
     EXPECT_TRUE(pairs_match(rt.run(app, input).pairs, reference));
+    EXPECT_TRUE(rt.pools_warm());
   }
   EXPECT_GE(engine::PoolDepot::process().stats().reused, 1u);
   engine::PoolDepot::process().clear();
 }
 
 TEST(ServiceMode, AdaptiveRuntimeConstructsPoolsLazily) {
-  // Satellite regression: with the adaptive controller on, the Runtime
-  // ctor must not build (and pin) a full pool set that run() never uses.
-  env::ScopedOverride adapt("RAMR_ADAPT", "probe");
-  const RuntimeConfig cfg = RuntimeConfig::from_env(job_config(2, 1));
-  ASSERT_NE(cfg.adapt_mode, AdaptMode::kOff);
+  // The Runtime ctor builds (and pins) no pool set: each run leases what
+  // its plan uses. The default config decides a big input through the
+  // adaptive controller, which leases per run from the depot; only the
+  // static path keeps a lease.
+  const RuntimeConfig cfg = job_config(2, 1);
+  ASSERT_EQ(cfg.adapt_mode, AdaptMode::kProbe);
   core::Runtime<ModCountApp> rt(topo::host(), cfg);
   EXPECT_FALSE(rt.pools_ready());
 
   const ModCountApp app;
-  const auto input = make_numbers(10000, 9);
-  EXPECT_TRUE(pairs_match(rt.run(app, input).pairs, app.reference(input)));
-  // The adaptive path leases its own pools; the eager member stays unused.
+  const auto big = make_numbers(10000, 9);
+  ASSERT_TRUE(adapt::probe_affordable(rt.config(), app.num_splits(big)));
+  EXPECT_TRUE(pairs_match(rt.run(app, big).pairs, app.reference(big)));
   EXPECT_FALSE(rt.pools_ready());
+
+  const auto small = make_numbers(1000, 9);
+  ASSERT_FALSE(adapt::probe_affordable(rt.config(), app.num_splits(small)));
+  EXPECT_TRUE(pairs_match(rt.run(app, small).pairs, app.reference(small)));
+  EXPECT_TRUE(rt.pools_ready());
 }
 
 }  // namespace

@@ -152,18 +152,6 @@ TEST(SamplerTest, CollectsMonotoneSeriesWhileWritersRun) {
     });
   }
   for (auto& th : writers) th.join();
-  // stop() before the sampler thread first takes its lock would end the
-  // loop with no points, so wait (series() locks; safe while running) until
-  // one exists. The deadline only bounds a broken sampler.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  const auto sampled = [&] {
-    const auto s = sampler.series();
-    return !s.empty() && !s[0].points.empty();
-  };
-  while (!sampled() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   sampler.stop();
 
   const auto series = sampler.series();
@@ -174,6 +162,19 @@ TEST(SamplerTest, CollectsMonotoneSeriesWhileWritersRun) {
     EXPECT_GE(series[0].points[i].first, series[0].points[i - 1].first);
     EXPECT_GE(series[0].points[i].second, series[0].points[i - 1].second);
   }
+}
+
+// A run shorter than the sampler thread's start-up still records: the
+// thread samples every live probe once before it first checks for stop.
+TEST(SamplerTest, ImmediateStopStillRecordsOnePoint) {
+  Sampler sampler(std::chrono::seconds(60));
+  auto handle = sampler.scoped_probe("v", [] { return 7.0; });
+  sampler.start();
+  sampler.stop();
+  const auto series = sampler.series();
+  ASSERT_EQ(series.size(), 1u);
+  ASSERT_GE(series[0].points.size(), 1u);
+  EXPECT_EQ(series[0].points[0].second, 7.0);
 }
 
 TEST(SamplerTest, RetiredProbesKeepTheirSeries) {

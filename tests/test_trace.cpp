@@ -147,9 +147,12 @@ TEST(RuntimeIntegration, BackoffSleepEventsMatchTheResultCounter) {
   // actually fire. Each backoff wait() sleeps at most once and the event is
   // recorded with the per-wait delta, so the sum of kBackoffSleep args must
   // equal the aggregate the result reports — regardless of scheduling.
+  // The static plan: a decided run would add probe slices the recorder
+  // does not see.
   const testing::ModCountApp app;
   const auto input = testing::make_numbers(20000, 3);
   RuntimeConfig cfg;
+  cfg.adapt_mode = AdaptMode::kOff;
   cfg.num_mappers = 2;
   cfg.num_combiners = 1;
   cfg.pin_policy = PinPolicy::kOsDefault;
