@@ -6,7 +6,9 @@
 // suite-shaped inputs, and reports the speedup. The "wc key hash" row times
 // the combine side of WC instead: std::hash<std::string_view> (scalar
 // column) against containers::KeyHash (native column) over every token of
-// the same text.
+// the same text. The "wc key sort" row times WC's merge-phase key sort:
+// std::sort (scalar column) against containers::sort_by_key (native
+// column) over the text's distinct (word, count) pairs in container order.
 //
 // Inputs scale with RAMR_BENCH_SCALE (default 4; larger = smaller inputs)
 // and each cell is the best of RAMR_BENCH_REPS timed repetitions (default
@@ -23,10 +25,13 @@
 
 #include "apps/histogram.hpp"
 #include "apps/inputs.hpp"
+#include "apps/wordcount.hpp"
 #include "bench_util.hpp"
 #include "common/env.hpp"
 #include "common/timing.hpp"
+#include "containers/container_traits.hpp"
 #include "containers/key_hash.hpp"
+#include "containers/key_sort.hpp"
 #include "simd/kernels.hpp"
 #include "stats/table.hpp"
 #include "topology/topology.hpp"
@@ -89,6 +94,23 @@ std::vector<std::string_view> tokenize(const simd::Kernels& k,
     pos = end;
   }
   return words;
+}
+
+using WordPairs = std::vector<std::pair<std::string_view, std::uint64_t>>;
+
+// Best time of `sort` over a fresh copy of `pairs` (the copy is untimed).
+template <typename Sort>
+double best_sort_seconds(std::size_t reps, const WordPairs& pairs,
+                         Sort&& sort) {
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t r = 0; r < reps; ++r) {
+    WordPairs work = pairs;
+    const auto t0 = now();
+    sort(work);
+    best = std::min(best, seconds_between(t0, now()));
+    sink(work.front().second);
+  }
+  return best;
 }
 
 template <typename Hash>
@@ -171,6 +193,20 @@ int main(int argc, char** argv) {
       sink(hash_pass<containers::KeyHash<std::string_view>>(words));
     });
     report_kernel(table, "wc key hash", text.size(), hs, hk, "KeyHash");
+
+    auto counts = apps::WordCountApp<apps::ContainerFlavor::kDefault>{}
+                      .make_container();
+    for (std::string_view w : words) counts.emit(w, 1);
+    const WordPairs pairs = containers::to_pairs(counts);
+    const double ss_sort = best_sort_seconds(reps, pairs, [](WordPairs& p) {
+      std::sort(p.begin(), p.end(), [](const auto& a, const auto& b) {
+        return a.first < b.first;
+      });
+    });
+    const double sk_sort = best_sort_seconds(
+        reps, pairs, [](WordPairs& p) { containers::sort_by_key(p); });
+    report_kernel(table, "wc key sort", text.size(), ss_sort, sk_sort,
+                  "sort_by_key");
   }
   {
     const std::vector<std::uint8_t> pixels =
@@ -216,6 +252,7 @@ int main(int argc, char** argv) {
   bench::print(table);
   std::cout << "\n(speedup > 1: the dispatched table is faster than the "
                "scalar reference; for wc key hash, KeyHash is faster than "
-               "std::hash)\n";
+               "std::hash; for wc key sort, sort_by_key is faster than "
+               "std::sort)\n";
   return 0;
 }

@@ -44,6 +44,7 @@
 #include "common/config.hpp"
 #include "common/timing.hpp"
 #include "containers/container_traits.hpp"
+#include "containers/key_sort.hpp"
 #include "engine/phase_driver.hpp"
 #include "engine/pool_depot.hpp"
 #include "engine/pool_set.hpp"
@@ -368,8 +369,7 @@ mr::result_of<S> run_adaptive(const topo::Topology& topology,
     for (const auto& [k, v] : result.pairs) merged.emit(k, v);
     result.pairs = containers::to_pairs(merged);
     mr::apply_reducer(app, result.pairs);
-    std::sort(result.pairs.begin(), result.pairs.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    containers::sort_by_key(result.pairs);
     for (const auto& part : partials) detail::accumulate_run(result, part);
   } else if (decided && plan.strategy == "fused") {
     auto lease = pools_from.acquire_single(topology, fused_width, mcfg);

@@ -8,11 +8,12 @@
 // hash, and regular hash variants exactly as the paper's Figs. 8-10 do.
 #pragma once
 
-#include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <utility>
 #include <vector>
+
+#include "containers/key_sort.hpp"
 
 namespace ramr::containers {
 
@@ -43,7 +44,7 @@ struct KeyValue {
 };
 
 // Flattens a container into (key, value) pairs in container order (the
-// runtimes sort afterwards on their worker pool).
+// merge phase sorts them afterwards).
 template <IntermediateContainer Ct>
 std::vector<std::pair<typename Ct::key_type, typename Ct::value_type>>
 to_pairs(const Ct& container) {
@@ -55,14 +56,13 @@ to_pairs(const Ct& container) {
   return out;
 }
 
-// Flattens and key-sorts — the merge phase's output representation shared
-// by both runtimes (serial; the runtimes use to_pairs + parallel_sort).
+// Flattens and key-sorts — the merge phase's output representation, in the
+// order engine::PhaseDriver's merge produces (serial, sort_by_key).
 template <IntermediateContainer Ct>
 std::vector<std::pair<typename Ct::key_type, typename Ct::value_type>>
 to_sorted_pairs(const Ct& container) {
   auto out = to_pairs(container);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  sort_by_key(out);
   return out;
 }
 

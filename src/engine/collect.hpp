@@ -3,9 +3,10 @@
 //
 // to_pairs walks the final container serially on the driver thread; for
 // wide containers (a large fixed array, a deep hash table) that single
-// thread becomes the merge phase's bottleneck once the sort itself is
-// parallel. collect_pairs fans the walk over the general-purpose pool in
-// two passes over the container's index space:
+// thread becomes the merge phase's bottleneck once the sort itself is fast
+// (parallel for integer keys, a radix sort for string keys). collect_pairs
+// fans the walk over the general-purpose pool in two passes over the
+// container's index space:
 //
 //   1. count    — each worker counts the present entries in its range;
 //   2. copy     — an exclusive prefix sum over the counts pre-sizes the

@@ -10,7 +10,9 @@
 //                 (skipped entirely — timer stays 0 — when the strategy
 //                 has no reduce, e.g. the atomic-global design)
 //   merge       : collect pairs, apply the app's optional per-key reducer,
-//                 parallel key sort on the general-purpose pool
+//                 key sort (containers::sort_by_key's radix sort on the
+//                 driver thread for string keys, sched::parallel_sort on
+//                 the general-purpose pool for every other key type)
 //
 // The driver also owns the trace wiring: with a Recorder set, every
 // strategy gets per-thread lanes (task and drain events), so Phoenix++ and
@@ -38,6 +40,7 @@
 #include "common/config.hpp"
 #include "common/rss.hpp"
 #include "common/timing.hpp"
+#include "containers/key_sort.hpp"
 #include "engine/app_model.hpp"
 #include "engine/emit_strategy.hpp"
 #include "engine/health.hpp"
@@ -377,7 +380,7 @@ class PhaseDriver {
       throw_if_aborted();
     }
 
-    // ---- merge: collect + optional reducer + parallel key sort ----------
+    // ---- merge: collect + optional reducer + key sort -------------------
     phase_begin(Phase::kMerge);
     {
       ScopedPhase t(result.timers, Phase::kMerge);
@@ -390,9 +393,15 @@ class PhaseDriver {
         strategy.collect(result);
       }
       mr::apply_reducer(app, result.pairs);
-      sched::parallel_sort(
-          pools_.mapper_pool(), result.pairs,
-          [](const auto& a, const auto& b) { return a.first < b.first; });
+      using Key = typename decltype(result.pairs)::value_type::first_type;
+      if constexpr (containers::ByteStringKey<Key>) {
+        // The radix sort beats waking the pool at every measured size.
+        containers::sort_by_key(result.pairs);
+      } else {
+        sched::parallel_sort(
+            pools_.mapper_pool(), result.pairs,
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+      }
     }
     phase_end(Phase::kMerge);
     throw_if_aborted();

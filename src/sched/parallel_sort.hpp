@@ -1,9 +1,10 @@
 // Pool-driven parallel merge sort for the merge phase.
 //
-// Both runtimes sort the final container's (key, value) pairs on the
-// general-purpose pool: the vector is cut into one chunk per worker, chunks
-// are std::sort-ed concurrently, then pairwise in-place merges run in
-// parallel rounds until one sorted range remains.
+// engine::PhaseDriver sorts the final container's (key, value) pairs here
+// when the keys are not strings (string keys go to containers::sort_by_key
+// on the driver thread): the vector is cut into one chunk per worker,
+// chunks are std::sort-ed concurrently, then pairwise in-place merges run
+// in parallel rounds until one sorted range remains.
 #pragma once
 
 #include <algorithm>

@@ -21,6 +21,7 @@
 #include "engine/pool_depot.hpp"
 #include "phoenix/runtime.hpp"
 #include "pipelined.hpp"
+#include "service/scheduler.hpp"
 #include "topology/topology.hpp"
 
 namespace ramr::apps {
@@ -705,6 +706,65 @@ TEST(Io, FileDrivenWordCountEndToEnd) {
   ASSERT_EQ(result.pairs.size(), 3u);
   EXPECT_EQ(result.pairs[1].first, "beta");
   EXPECT_EQ(result.pairs[1].second, 1000u);
+}
+
+// ---------- merge key sort: long keys through every runtime ------------------------
+
+// make_text's words followed by words longer than 8 bytes, many of which
+// share their first 8 bytes, so the merge's radix key sort must settle
+// ties on the full key.
+std::string long_key_text() {
+  std::string text = make_text(256 * 1024, 4000, 17);
+  const char* const stems[] = {"internat", "international", "internationale",
+                               "abcdefgh", "abcdefghi", "abcdefghij"};
+  for (std::size_t i = 0; i < 30000; ++i) {
+    text += ' ';
+    text += stems[i % 6];
+    if (i % 4 != 0) text += std::to_string(i % 1500);
+  }
+  return text;
+}
+
+TEST(MergeKeySort, LongSharedPrefixWordsMatchReferenceThroughEveryRuntime) {
+  const TextInput input{long_key_text(), 2048};
+  const auto ref = wordcount_reference(input);
+  const WordCountApp<ContainerFlavor::kDefault> app;
+
+  // The default run probes, so its pairs also pass the controller's stitch.
+  RuntimeConfig cfg;
+  cfg.pin_policy = PinPolicy::kOsDefault;
+  const auto probed =
+      core::Runtime<decltype(app)>(topo::host(), cfg).run(app, input);
+  EXPECT_EQ(probed.plan.source, "probe");
+  expect_pairs_match(probed.pairs, ref);
+  cfg.adapt_mode = AdaptMode::kOff;
+  expect_pairs_match(core::Runtime<decltype(app)>(topo::host(), cfg)
+                         .run(app, input)
+                         .pairs,
+                     ref);
+
+  phoenix::Options po;
+  po.pin_policy = PinPolicy::kOsDefault;
+  expect_pairs_match(phoenix::run_once(app, input, po).pairs, ref);
+
+  service::Scheduler sched(topo::host());
+  service::JobSpec spec;
+  spec.name = "long-keys";
+  spec.config.pin_policy = PinPolicy::kOsDefault;
+  auto [id, future] = sched.submit(spec, app, input);
+  ASSERT_EQ(sched.wait(id).status, service::JobStatus::kDone);
+  expect_pairs_match(future.get().pairs, ref);
+
+  // The streamed job's keys are std::string.
+  const std::string path = ::testing::TempDir() + "/ramr_long_keys.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << input.text;
+  }
+  StreamOptions so;
+  so.config.pin_policy = PinPolicy::kOsDefault;
+  so.io.mode = io::IoMode::kMmap;
+  expect_pairs_match(run_wordcount_stream(path, so).pairs, ref);
 }
 
 // ---------- Table I registry --------------------------------------------------------------

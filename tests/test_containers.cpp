@@ -21,6 +21,7 @@
 #include "containers/fixed_array_container.hpp"
 #include "containers/hash_container.hpp"
 #include "containers/key_hash.hpp"
+#include "containers/key_sort.hpp"
 #include "containers/metis_container.hpp"
 
 namespace ramr::containers {
@@ -410,6 +411,134 @@ TEST(KeyHash, EqualityDecidesEveryMatch) {
   EXPECT_EQ(grown.size(), 3u);
   EXPECT_EQ(metis.size(), 3u);
   EXPECT_EQ(grown.at("c"), 1u);
+}
+
+// ---------- sort_by_key ---------------------------------------------------------
+
+// sort_by_key over `keys` in the given order must equal std::sort by key.
+// Each value is its key's input position, so a move that separates a value
+// from its key shows. `keys` must be distinct (std::sort orders equal keys
+// arbitrarily).
+template <typename K>
+void expect_sorts_like_std_sort(const std::vector<std::string>& keys) {
+  std::vector<std::pair<K, std::uint64_t>> pairs;
+  for (std::size_t i = 0; i < keys.size(); ++i) pairs.emplace_back(keys[i], i);
+  auto expected = pairs;
+  std::sort(expected.begin(), expected.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  sort_by_key(pairs);
+  ASSERT_EQ(pairs.size(), expected.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_EQ(pairs[i], expected[i]) << "position " << i;
+    ASSERT_EQ(keys[pairs[i].second], pairs[i].first);
+  }
+}
+
+void expect_both_key_types_sort(const std::vector<std::string>& keys) {
+  expect_sorts_like_std_sort<std::string_view>(keys);
+  expect_sorts_like_std_sort<std::string>(keys);
+}
+
+std::vector<std::string> shuffled(std::vector<std::string> keys,
+                                  std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::shuffle(keys.begin(), keys.end(), rng);
+  return keys;
+}
+
+// Distinct keys of length 0-24 over `alphabet`, in random order.
+std::vector<std::string> random_keys(const std::string& alphabet,
+                                     std::size_t count, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::string k(rng.below(25), '\0');
+    for (char& c : k) c = alphabet[rng.below(alphabet.size())];
+    keys.push_back(std::move(k));
+  }
+  return shuffled(distinct(std::move(keys)), seed);
+}
+
+std::string every_byte() {
+  std::string all;
+  for (int b = 0; b < 256; ++b) all += static_cast<char>(b);
+  return all;
+}
+
+TEST(SortByKey, RandomKeysOfEveryByteMatchStdSort) {
+  expect_both_key_types_sort(random_keys(every_byte(), 20000, 1));
+}
+
+TEST(SortByKey, NulAndHighBytesOrderUnsigned) {
+  // A small alphabet makes long runs of tied prefixes and prefix pairs.
+  const std::string alphabet("\x00\x01" "a\x7f\x80\xc3\xff", 7);
+  expect_both_key_types_sort(random_keys(alphabet, 20000, 2));
+}
+
+TEST(SortByKey, ThousandKeysSharingAnEightBytePrefix) {
+  Xoshiro256 rng(3);
+  std::vector<std::string> keys;
+  for (const std::string& prefix : {std::string("commonpf"),
+                                   std::string("\xff\x80\0\0\xfe\0\0\0", 8)}) {
+    for (std::size_t i = 0; i < 1000; ++i) {
+      std::string k = prefix;
+      k.resize(8 + rng.below(17));
+      for (std::size_t j = 8; j < k.size(); ++j) {
+        k[j] = static_cast<char>(rng.below(256));
+      }
+      keys.push_back(std::move(k));
+    }
+  }
+  expect_both_key_types_sort(shuffled(distinct(std::move(keys)), 3));
+}
+
+TEST(SortByKey, KeysThatArePrefixesOfOneAnother) {
+  const std::vector<std::string> keys = {
+      "ab",        std::string("ab\0", 3),        "abcdefgh",
+      "abcdefghi", std::string("abcdefgh\0", 9),  "",
+      "a",         std::string(1, '\0'),          std::string(8, '\0'),
+      "abcdefgg",  std::string("abcdefgh\xff", 9), "b"};
+  expect_both_key_types_sort(keys);
+  auto sorted = distinct(keys);
+  expect_both_key_types_sort(sorted);
+  std::reverse(sorted.begin(), sorted.end());
+  expect_both_key_types_sort(sorted);
+}
+
+TEST(SortByKey, ZeroOneAndTwoPairs) {
+  expect_both_key_types_sort({});
+  expect_both_key_types_sort({"x"});
+  expect_both_key_types_sort({"b", "a"});
+  expect_both_key_types_sort({"a", "b"});
+  expect_both_key_types_sort({"abcdefghb", "abcdefgha"});
+}
+
+TEST(SortByKey, SortedAndReverseSortedInput) {
+  auto keys = distinct(random_keys(every_byte(), 5000, 4));
+  expect_both_key_types_sort(keys);
+  std::reverse(keys.begin(), keys.end());
+  expect_both_key_types_sort(keys);
+}
+
+TEST(SortByKey, EmptyViewWithNullDataReadsNothing) {
+  std::vector<std::pair<std::string_view, int>> pairs = {
+      {"b", 0}, {std::string_view{}, 1}, {"a", 2}};
+  ASSERT_EQ(pairs[1].first.data(), nullptr);
+  sort_by_key(pairs);
+  const std::vector<std::pair<std::string_view, int>> expected = {
+      {"", 1}, {"a", 2}, {"b", 0}};
+  EXPECT_EQ(pairs, expected);
+}
+
+TEST(SortByKey, IntegerKeysMatchStdSort) {
+  Xoshiro256 rng(5);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+  for (std::uint64_t i = 0; i < 10000; ++i) pairs.emplace_back(rng(), i);
+  auto expected = pairs;
+  std::sort(expected.begin(), expected.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  sort_by_key(pairs);
+  EXPECT_EQ(pairs, expected);
 }
 
 // KeyValue record behaves as a regular aggregate (pipelined through rings).
