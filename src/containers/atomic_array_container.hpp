@@ -72,16 +72,7 @@ class AtomicArrayContainer {
   // Only meaningful after the emitting phase quiesced.
   template <typename F>
   void for_each(F&& f) const {
-    for_each_range(0, slots_.size(), f);
-  }
-
-  // Ranged iteration for the parallel merge-phase collect; same quiescence
-  // contract as for_each.
-  std::size_t index_count() const { return slots_.size(); }
-
-  template <typename F>
-  void for_each_range(std::size_t lo, std::size_t hi, F&& f) const {
-    for (std::size_t k = lo; k < hi; ++k) {
+    for (std::size_t k = 0; k < slots_.size(); ++k) {
       const V v = slots_[k].value.load(std::memory_order_relaxed);
       if (v != identity()) f(k, v);
     }

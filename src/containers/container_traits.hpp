@@ -17,20 +17,27 @@
 
 namespace ramr::containers {
 
+// Anything that visits (key, value) pairs: every intermediate container,
+// and MRPhi's atomic global array (which has no combiner or merge_from).
 template <typename Ct>
-concept IntermediateContainer = requires(
-    Ct& c, const Ct& cc, const typename Ct::key_type& k,
-    const typename Ct::value_type& v) {
+concept PairSource = requires(const Ct& cc) {
   typename Ct::key_type;
   typename Ct::value_type;
-  typename Ct::combiner;
-  { c.emit(k, v) };
   { cc.size() } -> std::convertible_to<std::size_t>;
   { cc.for_each([](const typename Ct::key_type&,
                    const typename Ct::value_type&) {}) };
-  { c.merge_from(cc) };
-  { c.clear() };
 };
+
+template <typename Ct>
+concept IntermediateContainer =
+    PairSource<Ct> && requires(Ct& c, const Ct& cc,
+                               const typename Ct::key_type& k,
+                               const typename Ct::value_type& v) {
+      typename Ct::combiner;
+      { c.emit(k, v) };
+      { c.merge_from(cc) };
+      { c.clear() };
+    };
 
 // The record type pipelined from mappers to combiners through the SPSC
 // rings. Kept as an aggregate so that trivially copyable key/value types
@@ -44,8 +51,8 @@ struct KeyValue {
 };
 
 // Flattens a container into (key, value) pairs in container order (the
-// merge phase sorts them afterwards).
-template <IntermediateContainer Ct>
+// merge phase sorts them afterwards); serial.
+template <PairSource Ct>
 std::vector<std::pair<typename Ct::key_type, typename Ct::value_type>>
 to_pairs(const Ct& container) {
   std::vector<std::pair<typename Ct::key_type, typename Ct::value_type>> out;

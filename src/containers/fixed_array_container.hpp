@@ -58,17 +58,7 @@ class FixedArrayContainer {
   // Visit present keys in ascending key order: f(key, value).
   template <typename F>
   void for_each(F&& f) const {
-    for_each_range(0, values_.size(), f);
-  }
-
-  // Ranged iteration for the parallel merge-phase collect: the index space
-  // is [0, index_count()); disjoint ranges visit disjoint entries and
-  // concatenating them in index order reproduces for_each's order exactly.
-  std::size_t index_count() const { return values_.size(); }
-
-  template <typename F>
-  void for_each_range(std::size_t lo, std::size_t hi, F&& f) const {
-    for (std::size_t k = lo; k < hi; ++k) {
+    for (std::size_t k = 0; k < values_.size(); ++k) {
       if (present_[k]) f(k, values_[k]);
     }
   }

@@ -120,18 +120,7 @@ class OpenAddressingContainer {
   // Visit all (key, value) pairs; iteration order is unspecified.
   template <typename F>
   void for_each(F&& f) const {
-    for_each_range(0, slots_.size(), f);
-  }
-
-  // Ranged iteration over the slot array for the parallel merge-phase
-  // collect; concatenating disjoint ranges in index order reproduces
-  // for_each's order exactly.
-  std::size_t index_count() const { return slots_.size(); }
-
-  template <typename F>
-  void for_each_range(std::size_t lo, std::size_t hi, F&& f) const {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Slot& slot = slots_[i];
+    for (const Slot& slot : slots_) {
       if (slot.used) f(slot.key, slot.value);
     }
   }

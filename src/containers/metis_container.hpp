@@ -69,18 +69,8 @@ class MetisContainer {
 
   template <typename F>
   void for_each(F&& f) const {
-    for_each_range(0, buckets_.size(), f);
-  }
-
-  // Ranged iteration over the bucket array for the parallel merge-phase
-  // collect; concatenating disjoint ranges in index order reproduces
-  // for_each's order exactly.
-  std::size_t index_count() const { return buckets_.size(); }
-
-  template <typename F>
-  void for_each_range(std::size_t lo, std::size_t hi, F&& f) const {
-    for (std::size_t b = lo; b < hi; ++b) {
-      for (const Entry& e : buckets_[b]) f(e.key, e.value);
+    for (const Bucket& bucket : buckets_) {
+      for (const Entry& e : bucket) f(e.key, e.value);
     }
   }
 

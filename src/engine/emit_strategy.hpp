@@ -19,9 +19,9 @@
 //                                              // all (its timer stays 0)
 //   void map_combine(ctx, app, input, result); // the overlapped phase
 //   void reduce(PoolSet&);                     // merge down to one container
-//   void collect(result[, pools]);             // fill result.pairs, unsorted
-//                                              // (pools overload = parallel
-//                                              // copy-out, engine/collect.hpp)
+//   void collect(result);                      // fill result.pairs, unsorted
+//                                              // (containers::to_pairs of the
+//                                              // final container, serial)
 //
 // Robustness plumbing (all owned by PhaseDriver::run, threaded through the
 // context): a CancellationToken every worker polls at its scheduling

@@ -10,9 +10,8 @@
 //                 (skipped entirely — timer stays 0 — when the strategy
 //                 has no reduce, e.g. the atomic-global design)
 //   merge       : collect pairs, apply the app's optional per-key reducer,
-//                 key sort (containers::sort_by_key's radix sort on the
-//                 driver thread for string keys, sched::parallel_sort on
-//                 the general-purpose pool for every other key type)
+//                 key sort (containers::sort_by_key), all serial on the
+//                 driver thread for every strategy and key type
 //
 // The driver also owns the trace wiring: with a Recorder set, every
 // strategy gets per-thread lanes (task and drain events), so Phoenix++ and
@@ -48,7 +47,6 @@
 #include "engine/result.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
-#include "sched/parallel_sort.hpp"
 #include "sched/task_queue.hpp"
 #include "simd/kernels.hpp"
 #include "telemetry/sampler.hpp"
@@ -384,24 +382,13 @@ class PhaseDriver {
     phase_begin(Phase::kMerge);
     {
       ScopedPhase t(result.timers, Phase::kMerge);
-      // Strategies that support parallel collection take the pools and
-      // fan the copy-out over the general-purpose pool; the serial
-      // signature stays the fallback.
-      if constexpr (requires { strategy.collect(result, pools_); }) {
-        strategy.collect(result, pools_);
-      } else {
-        strategy.collect(result);
-      }
+      // Serial on the driver thread: on a 4-CPU host, at the benchmark's
+      // sizes, waking the pool costs as much as or more than the copy-out
+      // and sort it would share (EXPERIMENTS.md "One serial merge for
+      // every key type").
+      strategy.collect(result);
       mr::apply_reducer(app, result.pairs);
-      using Key = typename decltype(result.pairs)::value_type::first_type;
-      if constexpr (containers::ByteStringKey<Key>) {
-        // The radix sort beats waking the pool at every measured size.
-        containers::sort_by_key(result.pairs);
-      } else {
-        sched::parallel_sort(
-            pools_.mapper_pool(), result.pairs,
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-      }
+      containers::sort_by_key(result.pairs);
     }
     phase_end(Phase::kMerge);
     throw_if_aborted();

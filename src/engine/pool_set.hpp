@@ -110,9 +110,9 @@ class PoolSet {
   // Placement plan; empty CPU vectors under the single shape or kOsDefault.
   const topo::PinningPlan& plan() const { return plan_; }
 
-  // The general-purpose pool: map tasks, and between phases reduce and
-  // merge ("the top pool ... will be used to execute the tasks of map,
-  // reduce and merge").
+  // The general-purpose pool: map tasks and the reduce phase (the paper's
+  // "top pool ... will be used to execute the tasks of map, reduce and
+  // merge"; merge runs on the driver thread, engine/phase_driver.hpp).
   sched::ThreadPool& mapper_pool() { return *mapper_pool_; }
 
   // The combiner pool; only present under the dual shape.

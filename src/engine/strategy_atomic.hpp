@@ -25,8 +25,8 @@
 #include <string>
 
 #include "common/cancellation.hpp"
+#include "containers/container_traits.hpp"
 #include "engine/app_model.hpp"
-#include "engine/collect.hpp"
 #include "engine/emit_strategy.hpp"
 #include "engine/result.hpp"
 
@@ -61,11 +61,10 @@ class AtomicGlobal {
 
   void reduce(PoolSet&) {}  // never called: kHasReduce is false
 
-  // Copy-out fanned over the worker pool: ranged reads on the atomic array
-  // are safe here — the emitting phase quiesced at the map-combine pool
-  // join.
-  void collect(RunResult<key_type, value_type>& result, PoolSet& pools) {
-    result.pairs = collect_pairs(pools.mapper_pool(), *global_);
+  // Reads on the atomic array are safe here: the emitting phase quiesced
+  // at the map-combine pool join.
+  void collect(RunResult<key_type, value_type>& result) {
+    result.pairs = containers::to_pairs(*global_);
   }
 
  private:

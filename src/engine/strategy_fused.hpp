@@ -20,10 +20,9 @@
 #include "common/cancellation.hpp"
 #include "containers/container_traits.hpp"
 #include "engine/app_model.hpp"
-#include "engine/collect.hpp"
 #include "engine/emit_strategy.hpp"
 #include "engine/result.hpp"
-#include "sched/parallel_sort.hpp"
+#include "sched/tree_merge.hpp"
 
 namespace ramr::engine {
 
@@ -73,11 +72,8 @@ class FusedCombine {
     sched::parallel_tree_merge(pools.mapper_pool(), locals_);
   }
 
-  // Copy-out fanned over the general-purpose pool (serial for small
-  // containers); the driver passes the pools through the two-argument
-  // collect signature.
-  void collect(RunResult<key_type, value_type>& result, PoolSet& pools) {
-    result.pairs = collect_pairs(pools.mapper_pool(), locals_[0]);
+  void collect(RunResult<key_type, value_type>& result) {
+    result.pairs = containers::to_pairs(locals_[0]);
   }
 
  private:

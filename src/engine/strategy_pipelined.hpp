@@ -40,10 +40,9 @@
 #include "common/error.hpp"
 #include "containers/container_traits.hpp"
 #include "engine/app_model.hpp"
-#include "engine/collect.hpp"
 #include "engine/emit_strategy.hpp"
 #include "engine/result.hpp"
-#include "sched/parallel_sort.hpp"
+#include "sched/tree_merge.hpp"
 #include "spsc/backoff.hpp"
 #include "spsc/ring.hpp"
 #include "spsc/ring_set.hpp"
@@ -358,21 +357,19 @@ class PipelinedSpsc {
     }
   }
 
-  // Reduce and merge run on the general-purpose pool ("the top pool ...
-  // will be used to execute the tasks of map, reduce and merge").
+  // Reduce runs on the general-purpose pool ("the top pool ... will be
+  // used to execute the tasks of map, reduce and merge"); merge runs
+  // serially on the driver thread (engine/phase_driver.hpp).
   void reduce(PoolSet& pools) {
     sched::parallel_tree_merge(pools.mapper_pool(), combiner_containers_);
   }
 
-  // Copy-out fanned over the general-purpose pool (serial for small
-  // containers); the driver passes the pools through the two-argument
-  // collect signature.
-  void collect(RunResult<key_type, value_type>& result, PoolSet& pools) {
+  void collect(RunResult<key_type, value_type>& result) {
     if (combiner_containers_.empty()) {
       throw Error("PipelinedSpsc::collect: no combiner containers (was "
                   "map_combine run?)");
     }
-    result.pairs = collect_pairs(pools.mapper_pool(), combiner_containers_[0]);
+    result.pairs = containers::to_pairs(combiner_containers_[0]);
   }
 
  private:

@@ -11,10 +11,9 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "sched/parallel_sort.hpp"
 #include "sched/task_queue.hpp"
 #include "sched/thread_pool.hpp"
+#include "sched/tree_merge.hpp"
 
 namespace ramr::sched {
 namespace {
@@ -248,45 +247,7 @@ TEST(ThreadPool, DestructionAfterStartWithoutWaitIsClean) {
   EXPECT_EQ(ran.load(), 3);
 }
 
-// ---------- parallel_sort / parallel_tree_merge --------------------------------
-
-TEST(ParallelSort, MatchesStdSortOnRandomData) {
-  ThreadPool pool(4);
-  Xoshiro256 rng(5);
-  std::vector<std::uint64_t> items(50000);
-  for (auto& v : items) v = rng.next();
-  std::vector<std::uint64_t> expected = items;
-  std::sort(expected.begin(), expected.end());
-  parallel_sort(pool, items, std::less<>{});
-  EXPECT_EQ(items, expected);
-}
-
-TEST(ParallelSort, HandlesSmallAndEmptyInputs) {
-  ThreadPool pool(3);
-  std::vector<int> empty;
-  parallel_sort(pool, empty, std::less<>{});
-  EXPECT_TRUE(empty.empty());
-  std::vector<int> tiny{3, 1, 2};
-  parallel_sort(pool, tiny, std::less<>{});
-  EXPECT_EQ(tiny, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(ParallelSort, RespectsCustomComparator) {
-  ThreadPool pool(4);
-  std::vector<int> items(10000);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    items[i] = static_cast<int>(i % 977);
-  }
-  parallel_sort(pool, items, std::greater<>{});
-  EXPECT_TRUE(std::is_sorted(items.begin(), items.end(), std::greater<>{}));
-}
-
-TEST(ParallelSort, WorkerCountLargerThanInput) {
-  ThreadPool pool(8);
-  std::vector<int> items{5, 4, 3, 2, 1};
-  parallel_sort(pool, items, std::less<>{});
-  EXPECT_TRUE(std::is_sorted(items.begin(), items.end()));
-}
+// ---------- parallel_tree_merge ----------------------------------------------
 
 namespace {
 // Minimal mergeable container for tree-merge tests; `entries` is what
