@@ -42,23 +42,19 @@ struct ModCountBenchApp {
   }
 };
 
-// One native pipelined run under the given backoff policy; reports the
-// RunResult sleep/failed-push instrumentation.
-void native_policy_row(stats::Table& table, const char* label,
-                       BackoffKind kind,
-                       const ModCountBenchApp::input_type& input) {
+// One native pipelined run; reports the RunResult wait/failed-push
+// instrumentation.
+void native_wait_row(stats::Table& table,
+                     const ModCountBenchApp::input_type& input) {
   RuntimeConfig cfg;
   cfg.num_mappers = 3;
   cfg.num_combiners = 1;  // combiner-limited on purpose
   cfg.pin_policy = PinPolicy::kOsDefault;
   cfg.queue_capacity = 16;  // heavy backpressure
   cfg.batch_size = 8;
-  cfg.backoff = kind;
-  cfg.sleep_micros = 5;
-  cfg.sleep_cap_micros = 500;
   core::Runtime<ModCountBenchApp> rt(topo::host(), cfg);
   const auto result = rt.run(ModCountBenchApp{}, input);
-  table.add_row({label,
+  table.add_row({"ring wait",
                  stats::Table::fmt(result.timers.total() * 1e3, 2),
                  std::to_string(result.queue_failed_pushes),
                  std::to_string(result.backoff_sleeps)});
@@ -97,22 +93,19 @@ int main(int argc, char** argv) {
   std::cout << "\nSleeping only matters when producers block (combiner-"
                "limited rows); it never hurts.\n";
 
-  // Native policy comparison on the real pipeline: a combiner-limited run
-  // with a deliberately tiny ring, instrumented with the RunResult sleep
-  // counter. The exponential ladder should resolve the same backpressure
-  // with far fewer wakeups than the fixed-period policy.
-  bench::banner("Native backoff policies (tiny ring, 3 mappers : 1 combiner)",
-                "busy vs fixed-sleep vs exponential ladder");
+  // The native full-ring wait on the real pipeline: a combiner-limited run
+  // with a deliberately tiny ring, instrumented with the RunResult wait
+  // counter.
+  bench::banner("Native full-ring wait (tiny ring, 3 mappers : 1 combiner)",
+                "block on the ring until the combiner drains it");
   std::vector<std::uint64_t> input(100000);
   for (std::size_t i = 0; i < input.size(); ++i) {
     input[i] = i * 2654435761u;
   }
-  stats::Table native({"policy", "total (ms)", "failed pushes", "sleeps"});
-  native_policy_row(native, "busy-wait", BackoffKind::kBusyWait, input);
-  native_policy_row(native, "fixed sleep", BackoffKind::kSleep, input);
-  native_policy_row(native, "exponential", BackoffKind::kExponential, input);
+  stats::Table native({"wait", "total (ms)", "failed pushes", "waits"});
+  native_wait_row(native, input);
   bench::print(native);
-  std::cout << "\n'sleeps' is RunResult::backoff_sleeps — actual sleep()"
-               " calls performed by producer+consumer backoffs.\n";
+  std::cout << "\n'waits' is RunResult::backoff_sleeps — blocking waits"
+               " of mappers on full rings and of the idle combiner.\n";
   return 0;
 }

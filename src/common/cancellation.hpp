@@ -4,7 +4,7 @@
 // runtime: a dead combiner strands mappers on full SPSC rings, and a dead
 // mapper strands combiners on open rings. One CancellationToken per run()
 // gives every worker a single flag to poll at its natural scheduling points
-// (task boundaries, failed pushes, drain sweeps, backoff waits) so that
+// (task boundaries, failed pushes, drain sweeps, bounded waits) so that
 // peer failure, a run deadline, or a stall verdict propagates to the whole
 // pipeline promptly — not only to the workers that happen to block.
 //
@@ -88,10 +88,6 @@ class CancellationToken {
 
   // The hot-path poll: one acquire load.
   bool cancelled() const { return flag_.load(std::memory_order_acquire); }
-
-  // The raw flag, for binding into layers that must stay independent of
-  // this header's heavier machinery (e.g. spsc backoff classes).
-  const std::atomic<bool>& flag() const { return flag_; }
 
   // Copy of the winning snapshot (cause == kNone when not cancelled).
   CancelState snapshot() const {

@@ -33,11 +33,6 @@ constexpr Named<SplitDistribution> kSplitDistributions[] = {
     {"round_robin", SplitDistribution::kRoundRobin},
     {"block", SplitDistribution::kBlocked},
     {"blocked", SplitDistribution::kBlocked}};
-constexpr Named<BackoffKind> kBackoffKinds[] = {
-    {"busy", BackoffKind::kBusyWait}, {"spin", BackoffKind::kBusyWait},
-    {"sleep", BackoffKind::kSleep},   {"fixed", BackoffKind::kSleep},
-    {"exp", BackoffKind::kExponential},
-    {"exponential", BackoffKind::kExponential}};
 // "full"/"on" are deliberately absent: they meant the probe plus an online
 // retuner that is gone, and a value whose meaning changed must fail rather
 // than be reinterpreted.
@@ -105,15 +100,6 @@ void for_each_knob(Config& c, Visit&& v) {
   v({Knob::kSplitDistribution, "RAMR_SPLIT_DISTRIBUTION", kRun,
      "task dealing across locality groups: interleaved or blocked"},
     c.split_distribution, kSplitDistributions);
-  v({Knob::kSleepMicros, "RAMR_SLEEP_US", kRun,
-     "producer sleep period on a full ring (µs)"},
-    c.sleep_micros, Uint{0, 10'000'000});
-  v({Knob::kBackoff, "RAMR_BACKOFF", kRun,
-     "full-ring backoff: busy-wait, fixed sleep or exponential sleep"},
-    c.backoff, kBackoffKinds);
-  v({Knob::kSleepCapMicros, "RAMR_SLEEP_CAP_US", kRun,
-     "exponential backoff cap (µs)"},
-    c.sleep_cap_micros, Uint{1, 10'000'000});
   v({Knob::kEmitBatch, "RAMR_EMIT_BATCH", kRun,
      "records per batched producer publish (0 = element-wise)"},
     c.emit_batch, Uint{0, 1'000'000});
@@ -195,9 +181,17 @@ struct Retired {
   const char* replacement;
 };
 
+// What replaced the full-ring backoff knobs: a wait with nothing to tune.
+constexpr const char* kRingWait =
+    "nothing: a mapper on a full ring blocks on the ring until the combiner "
+    "drains it (spsc::Doorbell), so the wait has no knob";
+
 constexpr Retired kRetired[] = {
     {"RAMR_TELEMETRY", "RAMR_OBS=metrics"},
-    {"RAMR_SLEEP_ON_FULL", "RAMR_BACKOFF=busy (or =sleep)"},
+    {"RAMR_SLEEP_ON_FULL", kRingWait},
+    {"RAMR_BACKOFF", kRingWait},
+    {"RAMR_SLEEP_US", kRingWait},
+    {"RAMR_SLEEP_CAP_US", kRingWait},
     {"RAMR_MEM", "RAMR_EMIT_BATCH=32 (rings and emit buffers use the heap)"},
     {"RAMR_HUGEPAGES",
      "the system's transparent-huge-page setting (rings use the heap)"},
@@ -359,7 +353,6 @@ std::string to_string(SplitDistribution distribution) {
   return name_of(kSplitDistributions, distribution);
 }
 
-std::string to_string(BackoffKind kind) { return name_of(kBackoffKinds, kind); }
 std::string to_string(AdaptMode mode) { return name_of(kAdaptModes, mode); }
 std::string to_string(ObsLevel level) { return name_of(kObsLevels, level); }
 std::string to_string(PmuMode mode) { return name_of(kPmuModes, mode); }
@@ -470,12 +463,6 @@ RuntimeConfig RuntimeConfig::resolved(std::size_t hardware_threads) const {
     throw ConfigError("emit batch " + std::to_string(r.emit_batch) +
                       " exceeds queue capacity " +
                       std::to_string(r.queue_capacity));
-  }
-  if (r.backoff == BackoffKind::kExponential &&
-      r.sleep_cap_micros < r.sleep_micros) {
-    throw ConfigError("sleep cap " + std::to_string(r.sleep_cap_micros) +
-                      "us below initial sleep period " +
-                      std::to_string(r.sleep_micros) + "us");
   }
   return r;
 }

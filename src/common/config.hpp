@@ -43,17 +43,6 @@ enum class SplitDistribution {
 SplitDistribution parse_split_distribution(const std::string& name);
 std::string to_string(SplitDistribution distribution);
 
-// Producer/consumer backoff policy for the pipelined strategy (Sec. III-A
-// evaluates sleep vs busy-wait; the exponential capped ladder is an
-// extension for long combiner outages).
-enum class BackoffKind {
-  kBusyWait,     // spin (with periodic yield); never sleeps
-  kSleep,        // fixed-period sleep after a short spin (paper default)
-  kExponential,  // sleep doubling from sleep_micros up to sleep_cap_micros
-};
-
-std::string to_string(BackoffKind kind);
-
 // Adaptive-controller mode (src/adapt/): probe (the default) = a non-trait
 // app on an input that affords the probe budget calibrates its plan on a
 // bounded input slice (and caches it); the committed plan's knobs then hold
@@ -90,11 +79,11 @@ std::string to_string(PmuMode mode);
 // One id per knob-table row, in table order (config.cpp checks the order).
 enum class Knob : std::size_t {
   kMappers, kCombiners, kRatio, kTaskSize, kQueueCapacity, kBatchSize,
-  kPinPolicy, kSplitDistribution, kSleepMicros, kBackoff, kSleepCapMicros,
-  kEmitBatch, kTaskRetries, kDeadlineMs, kStallMs, kFaults, kIo, kIoWindow,
-  kIoDepth, kObs, kPmu, kSampleMicros, kMetricsPath, kFlightEvents, kAdapt,
-  kPlanCache, kAdaptReport, kService, kServiceJobs, kServiceQueue,
-  kServiceRetries, kHedgeFactor, kBreakerK, kShedWatermark, kCount
+  kPinPolicy, kSplitDistribution, kEmitBatch, kTaskRetries, kDeadlineMs,
+  kStallMs, kFaults, kIo, kIoWindow, kIoDepth, kObs, kPmu, kSampleMicros,
+  kMetricsPath, kFlightEvents, kAdapt, kPlanCache, kAdaptReport, kService,
+  kServiceJobs, kServiceQueue, kServiceRetries, kHedgeFactor, kBreakerK,
+  kShedWatermark, kCount
 };
 
 inline constexpr std::size_t kKnobCount =
@@ -141,15 +130,6 @@ struct RuntimeConfig {
   // Task dealing across locality groups (Sec. III: "map tasks are added in
   // the task queues — one for each locality group").
   SplitDistribution split_distribution = SplitDistribution::kRoundRobin;
-
-  // Producer sleep period on a failed push (Sec. III-A).
-  std::size_t sleep_micros = 50;
-
-  // Backoff policy on a full queue: kBusyWait is the paper's busy-wait
-  // alternative to sleeping. The exponential ladder starts at sleep_micros
-  // and doubles per consecutive sleep, capped at sleep_cap_micros.
-  BackoffKind backoff = BackoffKind::kSleep;
-  std::size_t sleep_cap_micros = 1000;
 
   // Producer-side emit batch, in records (0 = off, the historical
   // element-wise push). Mappers buffer up to this many records and publish

@@ -4,8 +4,8 @@
 // shared execution engine: a dual-pool engine::PoolSet (general-purpose
 // mapper pool + combiner pool, placed by the pinning plan) plus the
 // engine::PipelinedSpsc emit strategy (per-mapper SPSC rings drained
-// concurrently by the combiner pool, with batched reads and sleep-on-full
-// backoff) driven through
+// concurrently by the combiner pool, with batched reads and a blocking
+// full-ring wait) driven through
 // engine::PhaseDriver. See engine/strategy_pipelined.hpp for the pipeline
 // and failure protocols.
 //

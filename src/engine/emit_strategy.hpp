@@ -32,12 +32,10 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <concepts>
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cancellation.hpp"
@@ -182,7 +180,7 @@ std::size_t drain_map_tasks(const TaskLoopControl& ctl, const App& app,
         if (ctl.cancel.cancelled()) break;
         ctl.beat.bump();
         ctl.queues.note_stream_wait();
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        ctl.queues.wait_stream([&] { return ctl.cancel.cancelled(); });
         continue;
       }
       task = ctl.queues.pop(ctl.group);

@@ -5,7 +5,10 @@
 // Heartbeats: one cache-line-aligned slot per worker (mappers first, then
 // combiners). A worker marks itself active for the duration of the
 // map-combine region and bumps its beat counter at every natural progress
-// point — task start/end, failed-push retries, combiner sweeps. The slots
+// point — task start/end, every full-ring wait step of a mapper (a block
+// lasts at most spsc::Doorbell::kMaxBlock), every combiner sweep (an idle
+// combiner's block is bounded the same way) and every empty-stream wait
+// of a streaming worker. The slots
 // are written by exactly one thread each and read only by the watchdog, so
 // relaxed atomics suffice.
 //

@@ -83,7 +83,7 @@ class PoolSet {
   // Structural identity of a pool set: everything whose change would force
   // the thread pools or pins to be rebuilt. Two resolved
   // configs with equal shape keys can share one warm PoolSet — rebind()
-  // swaps the per-run knobs (batch size, backoff, task size, ...) that the
+  // swaps the per-run knobs (batch size, task size, ...) that the
   // strategies read through config(). The key is what PoolDepot shelves
   // warm sets under.
   static std::string shape_key(const topo::Topology& topology,

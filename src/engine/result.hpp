@@ -156,8 +156,8 @@ struct RunResult {
   std::size_t queue_push_batches = 0;   // producer-side batched publishes
   std::size_t queue_max_occupancy = 0;  // deepest any ring ever got
 
-  // Actual sleeps the producer/consumer backoffs performed (pipelined
-  // strategy only; the backoff ablation bench compares policies on this).
+  // Blocking waits of mappers on full rings and of idle combiners
+  // (pipelined strategy only; spsc::Doorbell waits that actually blocked).
   std::size_t backoff_sleeps = 0;
 
   // Task-level retry accounting: attempts re-executed after a transient

@@ -10,16 +10,17 @@
 //
 // The three resource-aware mechanisms:
 //   * batched reads       — Ring::consume_batch (Sec. III-A, Figs. 6/7);
-//   * sleep on failed push — spsc::SleepBackoff or the exponential capped
-//     ladder (Sec. III-A; selected by RuntimeConfig::backoff);
+//   * sleep on failed push — a mapper whose ring is full blocks on its
+//     ring's spsc::Doorbell and gives its core to the combiner
+//     (Sec. III-A); an idle combiner blocks on its ring set's bell;
 //   * contention-aware pinning — topo::make_plan(kRamrPaired) places each
 //     combiner on a logical CPU adjacent to its mappers (Sec. III-B).
 //
 // Failure protocol (docs/ARCHITECTURE.md §6): the first failing worker
 // records an attributed cancel on the run's CancellationToken and rethrows
 // its exception; every peer polls the token — mappers at task boundaries
-// and inside the full-ring push loop, combiners every sweep, backoffs
-// before every sleep — and exits quietly, so the pool carrying the root
+// and inside the full-ring push loop, combiners every sweep, both after
+// every bounded block — and exits quietly, so the pool carrying the root
 // cause is the only one that reports. A mapper that dies still closes its
 // ring (so combiners can terminate even mid-cancel), and the pools are
 // joined through engine::join_pools_rethrow_first (which surfaces, not
@@ -28,7 +29,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -43,7 +43,7 @@
 #include "engine/emit_strategy.hpp"
 #include "engine/result.hpp"
 #include "sched/tree_merge.hpp"
-#include "spsc/backoff.hpp"
+#include "spsc/doorbell.hpp"
 #include "spsc/ring.hpp"
 #include "spsc/ring_set.hpp"
 
@@ -86,7 +86,16 @@ class PipelinedSpsc {
     }
 
     std::atomic<std::size_t> tasks_executed{0};
-    std::atomic<std::size_t> backoff_sleeps{0};
+    std::atomic<std::size_t> blocking_waits{0};
+
+    // Full-ring and empty-ring waits (Sec. III-A, mechanism 2). Mapper m
+    // blocks on space[m] until the combiner has drained its ring to at
+    // most half full; combiner j blocks on work[j] until one of its mappers
+    // has pushed a batch, ended a task, closed or blocked. The two
+    // thresholds keep either side from waking the other per record.
+    std::vector<spsc::Doorbell> space(cfg.num_mappers);
+    std::vector<spsc::Doorbell> work(cfg.num_combiners);
+    const std::size_t half_full = rings_.front()->capacity() / 2;
 
     // Producer-side emit batching: 0 keeps the element-wise try_push path.
     const std::size_t emit_batch = cfg.emit_batch;
@@ -117,21 +126,20 @@ class PipelinedSpsc {
       trace::Lane* lane = ctx.lanes.combiner[j];
       telemetry::EngineMetrics* tm = ctx.metrics();
       const std::size_t slot = tm != nullptr ? tm->combiner_slot(j) : 0;
-      auto idle = make_consumer_backoff(cfg);
-      idle.bind(&ctx.cancel.flag());
+      std::size_t waits = 0;
+      const auto ready = [&] { return set.ready() || ctx.cancel.cancelled(); };
       const auto consume = [&container](std::span<Record> block) {
         for (Record& r : block) {
           container.emit(r.key, r.value);
         }
       };
-      // Flushes sleep/batch accounting into metrics and the shared counter;
+      // Flushes wait/batch accounting into metrics and the shared counter;
       // runs on success and on the failure paths alike (the consumer-side
       // ring stats are safe to read here: this thread is the consumer).
       const auto account = [&] {
-        backoff_sleeps.fetch_add(idle.sleep_count(),
-                                 std::memory_order_relaxed);
+        blocking_waits.fetch_add(waits, std::memory_order_relaxed);
         if (tm == nullptr) return;
-        tm->backoff_sleeps->add(slot, idle.sleep_count());
+        tm->backoff_sleeps->add(slot, waits);
         std::uint64_t batch_total = 0;
         std::size_t max_occupancy = 0;
         for (std::size_t m : plan.mappers_of_combiner[j]) {
@@ -157,14 +165,18 @@ class PipelinedSpsc {
           }
           if (got == 0) {
             if (set.finished()) break;
-            const std::size_t before = idle.sleep_count();
-            idle.wait();
-            const std::size_t slept = idle.sleep_count() - before;
-            if (slept > 0 && lane != nullptr) {
-              lane->record(ctx.lanes.epoch, trace::EventKind::kBackoffSleep,
-                           slept);
+            if (work[j].wait(ready)) {
+              ++waits;
+              if (lane != nullptr) {
+                lane->record(ctx.lanes.epoch, trace::EventKind::kBackoffSleep,
+                             1);
+              }
             }
           } else {
+            for (std::size_t m : plan.mappers_of_combiner[j]) {
+              space[m].notify_if(
+                  [&] { return rings_[m]->size() <= half_full; });
+            }
             if (tm != nullptr) tm->batch_sizes->record(slot, got);
             ctx.injector.on_combiner_batch(j, ++batches);
             // Periodic live occupancy sample for the metrics snapshot and
@@ -177,7 +189,6 @@ class PipelinedSpsc {
               }
               tm->queue_max_occupancy->set(slot, static_cast<double>(occ));
             }
-            idle.reset();
           }
         }
       } catch (const std::exception& e) {
@@ -194,69 +205,87 @@ class PipelinedSpsc {
 
     const auto mapper_job = [&](std::size_t m) {
       spsc::Ring<Record>& ring = *rings_[m];
+      spsc::Doorbell& combiner_bell = work[plan.combiner_of_mapper(m)];
       TaskLoopControl ctl = TaskLoopControl::create(ctx, m);
       ActiveScope live(ctl.beat);
       trace::Lane* lane = ctl.lane;
       telemetry::EngineMetrics* tm = ctl.metrics;
       std::size_t executed = 0;
+      std::size_t waits = 0;
+      // Records pushed since this mapper last rang its combiner's bell.
+      std::size_t unrung = 0;
       std::vector<Record> emit_buf;
+      const auto ring_combiner = [&] {
+        unrung = 0;
+        combiner_bell.notify();
+      };
+      const auto pushed = [&](std::size_t n) {
+        unrung += n;
+        if (unrung >= cfg.batch_size) ring_combiner();
+      };
+      const auto close_ring = [&] {
+        ring.close();
+        combiner_bell.notify();
+      };
+      const auto drained = [&] {
+        return ring.size() <= half_full || ctx.cancel.cancelled();
+      };
+      // One blocked-on-full-ring wait step, shared by the element-wise
+      // push loop and the batched flush loop.
+      auto wait_full = [&] {
+        // Live mirror of the ring's failed-push count, so the periodic
+        // metrics snapshot sees congestion mid-phase, not at join.
+        if (tm != nullptr) tm->queue_failed_pushes->increment(m);
+        if (ctx.cancel.cancelled()) {
+          // Unwind out of app.map; the wrapper below exits quietly
+          // (the peer that caused the cancel reports the error).
+          throw common::CancelledError(
+              "mapper-" + std::to_string(m) +
+              ": run cancelled while blocked on a full ring");
+        }
+        ctl.beat.bump();
+        ring_combiner();
+        if (space[m].wait(drained)) {
+          ++waits;
+          if (lane != nullptr) {
+            lane->record(ctx.lanes.epoch, trace::EventKind::kBackoffSleep, 1);
+          }
+        }
+      };
       // `emit` feeds records toward the ring — directly, or staged through
       // the emit buffer when producer batching is on; the per-task hook
       // flushes the emit buffer so the combiners keep receiving data at
       // task granularity (an idle/stalling mapper never sits on buffered
-      // records).
-      auto run_with = [&](auto backoff) {
-        backoff.bind(&ctx.cancel.flag());
-        // One blocked-on-full-ring wait step, shared by the element-wise
-        // push loop and the batched flush loop.
-        auto wait_full = [&] {
-          // Live mirror of the ring's failed-push count, so the periodic
-          // metrics snapshot sees congestion mid-phase, not at join.
-          // This is the slow path — the ring was full and we are about
-          // to back off anyway.
-          if (tm != nullptr) tm->queue_failed_pushes->increment(m);
-          if (ctx.cancel.cancelled()) {
-            // Unwind out of app.map; the wrapper below exits quietly
-            // (the peer that caused the cancel reports the error).
-            throw common::CancelledError(
-                "mapper-" + std::to_string(m) +
-                ": run cancelled while blocked on a full ring");
+      // records). Publishes the buffered block through try_push_batch: one
+      // release store (and at most one cached-head refresh) per accepted
+      // span instead of per element.
+      auto flush = [&] {
+        std::span<Record> rest(emit_buf.data(), emit_buf.size());
+        while (!rest.empty()) {
+          const std::size_t n = ring.try_push_batch(rest);
+          if (n == 0) {
+            wait_full();
+            continue;
           }
-          ctl.beat.bump();
-          const std::size_t before = backoff.sleep_count();
-          backoff.wait();
-          const std::size_t slept = backoff.sleep_count() - before;
-          if (slept > 0 && lane != nullptr) {
-            lane->record(ctx.lanes.epoch, trace::EventKind::kBackoffSleep,
-                         slept);
-          }
-        };
-        // Publishes the buffered block through try_push_batch: one release
-        // store (and at most one cached-head refresh) per accepted span
-        // instead of per element, backing off whenever the ring is full.
-        auto flush = [&] {
-          std::span<Record> rest(emit_buf.data(), emit_buf.size());
-          while (!rest.empty()) {
-            const std::size_t n = ring.try_push_batch(rest);
-            if (n == 0) {
-              wait_full();
-              continue;
-            }
-            rest = rest.subspan(n);
-            backoff.reset();
-          }
-          emit_buf.clear();
-        };
-        auto push_record = [&](Record&& r) {
-          ctx.injector.on_emit(m);
-          if (emit_batch == 0) {
-            while (!ring.try_push(std::move(r))) wait_full();
-            backoff.reset();
-            return;
-          }
-          emit_buf.push_back(std::move(r));
-          if (emit_buf.size() >= emit_batch) flush();
-        };
+          rest = rest.subspan(n);
+          pushed(n);
+        }
+        emit_buf.clear();
+      };
+      auto push_record = [&](Record&& r) {
+        ctx.injector.on_emit(m);
+        if (emit_batch == 0) {
+          while (!ring.try_push(std::move(r))) wait_full();
+          pushed(1);
+          return;
+        }
+        emit_buf.push_back(std::move(r));
+        if (emit_buf.size() >= emit_batch) flush();
+      };
+      try {
+        // Reserving the flush threshold up front keeps the emit buffer
+        // from reallocating mid-phase.
+        emit_buf.reserve(emit_batch);
         executed = drain_map_tasks(
             ctl, app, input,
             [&](const key_type& k, const value_type& v) {
@@ -264,59 +293,38 @@ class PipelinedSpsc {
             },
             [&] {
               if (!emit_buf.empty()) flush();
+              ring_combiner();
             });
         // Close-time flush: nothing buffered may be lost when the stream
         // ends (the per-task hook normally leaves this empty).
         if (!emit_buf.empty()) flush();
-        backoff_sleeps.fetch_add(backoff.sleep_count(),
-                                 std::memory_order_relaxed);
-        if (tm != nullptr) {
-          tm->backoff_sleeps->add(m, backoff.sleep_count());
-        }
-      };
-      try {
-        // Reserving the flush threshold up front keeps the emit buffer
-        // from reallocating mid-phase.
-        emit_buf.reserve(emit_batch);
-        switch (cfg.backoff) {
-          case BackoffKind::kBusyWait:
-            run_with(spsc::BusyWaitBackoff{});
-            break;
-          case BackoffKind::kExponential:
-            run_with(spsc::ExponentialSleepBackoff(
-                std::chrono::microseconds(cfg.sleep_micros),
-                std::chrono::microseconds(cfg.sleep_cap_micros)));
-            break;
-          case BackoffKind::kSleep:
-            run_with(spsc::SleepBackoff(
-                std::chrono::microseconds(cfg.sleep_micros)));
-            break;
-        }
       } catch (const common::CancelledError&) {
         // Cooperative unwind: a peer failed or a watchdog verdict landed.
         // Close even here: combiners must be able to terminate.
-        ring.close();
+        close_ring();
         tasks_executed.fetch_add(executed, std::memory_order_relaxed);
         return;
       } catch (const std::exception& e) {
         ctx.cancel.cancel(common::CancelCause::kWorkerFailed, "map-combine",
                           "mapper-" + std::to_string(m), e.what());
-        ring.close();
+        close_ring();
         throw;
       } catch (...) {
         ctx.cancel.cancel(common::CancelCause::kWorkerFailed, "map-combine",
                           "mapper-" + std::to_string(m),
                           "<non-standard exception>");
-        ring.close();
+        close_ring();
         throw;
       }
       // Map phase over for this mapper: notify the combiner side.
-      ring.close();
+      close_ring();
+      blocking_waits.fetch_add(waits, std::memory_order_relaxed);
       if (lane != nullptr) {
         lane->record(ctx.lanes.epoch, trace::EventKind::kStreamClose, m);
       }
       tasks_executed.fetch_add(executed, std::memory_order_relaxed);
       if (tm != nullptr) {
+        tm->backoff_sleeps->add(m, waits);
         // Producer-side ring stats, read by their single writer (this
         // thread) after it stopped pushing. Failed pushes were already
         // mirrored live on the full-ring path above.
@@ -331,7 +339,7 @@ class PipelinedSpsc {
                              ctx.pools.combiner_pool());
 
     result.tasks_executed = tasks_executed.load();
-    result.backoff_sleeps = backoff_sleeps.load();
+    result.backoff_sleeps = blocking_waits.load();
     for (const auto& ring : rings_) {
       result.queue_pushes += ring->producer_stats().pushes;
       result.queue_failed_pushes += ring->producer_stats().failed_pushes;
@@ -373,17 +381,6 @@ class PipelinedSpsc {
   }
 
  private:
-  // Consumer-side idle policy: the exponential ladder applies when
-  // selected; busy-wait producers still pair with a sleeping consumer
-  // (the combiner has nothing to do on an empty sweep either way).
-  static auto make_consumer_backoff(const RuntimeConfig& cfg) {
-    return spsc::ExponentialSleepBackoff(
-        std::chrono::microseconds(cfg.sleep_micros),
-        std::chrono::microseconds(cfg.backoff == BackoffKind::kExponential
-                                      ? cfg.sleep_cap_micros
-                                      : cfg.sleep_micros));
-  }
-
   std::vector<std::unique_ptr<spsc::Ring<Record>>> rings_;
   std::vector<Container> combiner_containers_;
 };

@@ -1,22 +1,12 @@
 #include "io/stream_feeder.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/error.hpp"
-#include "spsc/backoff.hpp"
 #include "trace/trace.hpp"
 
 namespace ramr::io {
-
-namespace {
-// Slot-wait ladder: spin briefly, then sleep 50us doubling to 2ms — long
-// enough to stay off the map workers' cores during a long map phase, short
-// enough that cancel/stop propagate promptly.
-constexpr std::chrono::microseconds kWaitInitial{50};
-constexpr std::chrono::microseconds kWaitCap{2000};
-}  // namespace
 
 StreamFeeder::StreamFeeder(std::unique_ptr<ChunkSource> source,
                            StreamInput& input, IoConfig cfg)
@@ -91,8 +81,6 @@ void StreamFeeder::run(engine::StreamHooks hooks) {
 }
 
 void StreamFeeder::feed(const engine::StreamHooks& hooks) {
-  spsc::ExponentialSleepBackoff backoff(kWaitInitial, kWaitCap);
-  backoff.bind(&hooks.cancel->flag());
   const auto stopped = [&] {
     return stop_.load(std::memory_order_acquire) || hooks.cancel->cancelled();
   };
@@ -108,9 +96,9 @@ void StreamFeeder::feed(const engine::StreamHooks& hooks) {
                            next_window);
       }
       while (!input_.slot_free(next_window)) {
-        if (stopped() || !backoff.wait()) return;
+        if (stopped()) return;
+        input_.wait_slot(next_window, stopped);
       }
-      backoff.reset();
     }
     if (stopped()) return;
 
@@ -153,6 +141,7 @@ void StreamFeeder::feed(const engine::StreamHooks& hooks) {
       hooks.queues->push(group, task);
       group = (group + 1) % hooks.num_groups;
     }
+    hooks.queues->announce_tasks();
     ++windows_;
     if (hooks.lane != nullptr) {
       hooks.lane->record(hooks.epoch, trace::EventKind::kIoWindow,
@@ -170,9 +159,9 @@ void StreamFeeder::feed(const engine::StreamHooks& hooks) {
           : 0;
   for (std::uint64_t w = first_live; w < next_window; ++w) {
     while (!input_.slot_free(w)) {
-      if (stopped() || !backoff.wait()) return;
+      if (stopped()) return;
+      input_.wait_slot(w, stopped);
     }
-    backoff.reset();
     if (std::optional<WindowData> prev = input_.take_occupant(w)) {
       source_->retire(*prev);
     }

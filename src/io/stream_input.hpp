@@ -10,14 +10,17 @@
 // leave the rest of their stride unused — no task ever references them.
 //
 // Slot protocol (the backpressure that bounds memory):
-//   feeder: poll slot_free(w) — acquire — until the slot's pending-split
-//           count is zero, retire the previous occupant (take_occupant),
+//   feeder: wait until slot_free(w) — acquire — sees the slot's
+//           pending-split count at zero (wait_slot blocks on a bell the
+//           last completing task rings), retire the previous occupant
+//           (take_occupant),
 //           read the new window, publish(w, window, splits) — release —
 //           then push the window's TaskRanges;
 //   worker: pops a task (the queue mutex orders the slot fields it is
 //           about to read after publish), maps it, and the engine calls
 //           on_task_complete — release fetch_sub of the task's split
-//           count — once the task fully succeeded.
+//           count, ringing the feeder's bell when it reaches zero — once
+//           the task fully succeeded.
 // Slot fields other than `pending` are plain: the release publish /
 // acquire poll pair plus the queue mutex are the only synchronization
 // needed because exactly one thread (the feeder) ever writes them.
@@ -35,6 +38,7 @@
 #include "io/chunk_source.hpp"
 #include "io/io_config.hpp"
 #include "sched/task_queue.hpp"
+#include "spsc/doorbell.hpp"
 
 namespace ramr::io {
 
@@ -90,8 +94,9 @@ class StreamInput : public sched::TaskCompletionListener {
   // never span windows (the feeder cuts them per window).
   void on_task_complete(const sched::TaskRange& task) noexcept override {
     const std::size_t w = task.begin / splits_per_window_;
-    slots_[w % slots_.size()].pending.fetch_sub(task.size(),
-                                                std::memory_order_release);
+    const std::size_t before = slots_[w % slots_.size()].pending.fetch_sub(
+        task.size(), std::memory_order_release);
+    if (before == task.size()) slot_drained_.notify();
   }
 
   // ---- feeder side (single thread, the IO lane) -------------------------
@@ -100,6 +105,13 @@ class StreamInput : public sched::TaskCompletionListener {
   bool slot_free(std::uint64_t ordinal) const {
     return slots_[ordinal % slots_.size()].pending.load(
                std::memory_order_acquire) == 0;
+  }
+
+  // Returns once slot_free(ordinal) or `stop()` holds, or after one
+  // bounded block (spsc::Doorbell).
+  template <typename Stop>
+  void wait_slot(std::uint64_t ordinal, Stop&& stop) {
+    slot_drained_.wait([&] { return slot_free(ordinal) || stop(); });
   }
 
   // The window previously published into this slot (to hand to
@@ -135,6 +147,7 @@ class StreamInput : public sched::TaskCompletionListener {
   std::size_t splits_per_window_ = 1;
   std::vector<Slot> slots_;
   std::atomic<std::size_t> published_splits_{0};
+  spsc::Doorbell slot_drained_;
 };
 
 }  // namespace ramr::io

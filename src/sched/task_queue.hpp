@@ -14,6 +14,8 @@
 #include <optional>
 #include <vector>
 
+#include "spsc/doorbell.hpp"
+
 namespace ramr::sched {
 
 // A task: the half-open split-index range [begin, end).
@@ -72,16 +74,28 @@ class TaskQueues {
   //
   // Between open_stream() and close_stream() an empty pop() means "wait,
   // more tasks may arrive", not "all work done" — the mapper task loop
-  // polls stream_open() to tell the cases apart. close_stream() is a
-  // release store ordered after the feeder's final push, so a worker that
-  // observes the closed flag and then re-pops is guaranteed to see every
-  // task (see drain_map_tasks in engine/emit_strategy.hpp).
+  // polls stream_open() to tell the cases apart and blocks in
+  // wait_stream() meanwhile. close_stream() is a release store ordered
+  // after the feeder's final push, so a worker that observes the closed
+  // flag and then re-pops is guaranteed to see every task (see
+  // drain_map_tasks in engine/emit_strategy.hpp).
   void open_stream() { stream_open_.store(true, std::memory_order_release); }
   void close_stream() {
     stream_open_.store(false, std::memory_order_release);
+    stream_bell_.notify();
   }
   bool stream_open() const {
     return stream_open_.load(std::memory_order_acquire);
+  }
+  // Feeder side: wakes workers blocked in wait_stream() once a window's
+  // tasks are pushed.
+  void announce_tasks() { stream_bell_.notify(); }
+  // Worker side: returns once a task is queued, the stream closed or
+  // `stop()` holds, or after one bounded block (spsc::Doorbell).
+  template <typename Stop>
+  void wait_stream(Stop&& stop) {
+    stream_bell_.wait(
+        [&] { return !stream_open() || pending() > 0 || stop(); });
   }
 
   // Completion routing for streaming backpressure: workers call
@@ -118,6 +132,7 @@ class TaskQueues {
   std::atomic<std::size_t> steals_{0};
   std::atomic<bool> stream_open_{false};
   std::atomic<std::size_t> stream_waits_{0};
+  spsc::Doorbell stream_bell_;
   TaskCompletionListener* listener_ = nullptr;
 };
 

@@ -697,9 +697,8 @@ void Scheduler::run_job(const std::shared_ptr<Job>& job) {
 
 // Re-admission for a failed attempt with retry budget left: back into the
 // queue at the job's original arrival position (the queue is id-ordered),
-// gated by an exponential backoff with deterministic jitter — the same
-// doubling-to-cap ladder spsc::ExponentialSleepBackoff uses for ring waits,
-// lifted to the job level.
+// gated by an exponential backoff with deterministic jitter (a
+// doubling-to-cap ladder).
 void Scheduler::requeue_locked(const std::shared_ptr<Job>& job) {
   const std::size_t shift =
       std::min<std::size_t>(job->attempt > 0 ? job->attempt - 1 : 0, 20);

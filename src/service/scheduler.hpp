@@ -28,8 +28,7 @@
 //
 //   * job-level retry — a failed job re-enters the queue at its original
 //     arrival position after an exponential backoff with deterministic
-//     jitter (same doubling-to-cap ladder as spsc::ExponentialSleepBackoff),
-//     up to Options::max_retries / JobSpec::max_retries attempts;
+//     jitter, up to Options::max_retries / JobSpec::max_retries attempts;
 //   * degradation ladder — a retry after a watchdog abort (deadline/stall)
 //     or a strategy ConfigError runs under a safer plan: first forced
 //     FusedCombine (no rings to back up), then half the core ask; each step

@@ -1,6 +1,7 @@
 // Anchor translation unit: instantiates the SPSC templates once so that
 // header breakage is caught when building the library itself, not first by
 // a downstream target.
+#include "spsc/doorbell.hpp"
 #include "spsc/dynamic_queue.hpp"
 #include "spsc/ring.hpp"
 #include "spsc/ring_set.hpp"

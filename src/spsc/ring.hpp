@@ -90,7 +90,7 @@ class Ring {
 
   // Attempts to enqueue; returns false when the ring is full. Never blocks.
   // The rvalue overload leaves `value` untouched on failure, so a caller may
-  // retry with the same object (Ring::push depends on this).
+  // retry with the same object (the mapper's full-ring loop depends on this).
   bool try_push(T&& value) {
     const std::size_t tail = tail_.value.load(std::memory_order_relaxed);
     if (tail - cached_head_ >= capacity_) {
@@ -149,20 +149,6 @@ class Ring {
   }
 
   bool try_push(const T& value) { return try_push(T(value)); }
-
-  // Enqueues, waiting with `backoff` while the ring is full. Elements are
-  // never dropped (paper: "Pushing elements in the queue always succeed[s]").
-  // Returns false — with `value` discarded — only when the backoff's bound
-  // cancellation flag stops the wait; an unbound backoff never stops, so
-  // plain callers may ignore the result.
-  template <typename Backoff>
-  bool push(T value, Backoff& backoff) {
-    while (!try_push(std::move(value))) {
-      if (!backoff.wait()) return false;
-    }
-    backoff.reset();
-    return true;
-  }
 
   // Marks the stream complete. Must be called by the producer after its last
   // push; consumers observing closed() && empty() may terminate.

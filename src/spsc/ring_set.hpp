@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "spsc/backoff.hpp"
 #include "spsc/ring.hpp"
 
 namespace ramr::spsc {
@@ -48,24 +47,16 @@ class RingSet {
     return true;
   }
 
-  // Drain loop: sweeps until every queue is closed and empty, idling with
-  // `backoff` on empty sweeps; exits early when the backoff's bound
-  // cancellation flag stops the wait. `f` is invoked with std::span<T>
-  // blocks.
-  template <typename F, typename Backoff>
-  std::size_t drain(F&& f, std::size_t batch, Backoff& backoff) {
-    std::size_t total = 0;
-    for (;;) {
-      const std::size_t got = sweep(f, batch);
-      total += got;
-      if (got == 0) {
-        if (finished()) break;
-        if (!backoff.wait()) break;
-      } else {
-        backoff.reset();
-      }
+  // True when a sweep would consume something or the combiner may exit:
+  // some queue holds data or every queue is closed. The idle combiner's
+  // wait condition.
+  bool ready() const {
+    bool all_closed = true;
+    for (const Ring<T>* ring : rings_) {
+      if (!ring->empty()) return true;
+      all_closed = all_closed && ring->closed();
     }
-    return total;
+    return all_closed;
   }
 
  private:

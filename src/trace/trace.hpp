@@ -28,7 +28,7 @@ enum class EventKind : std::uint8_t {
   kDrainDone,     // combiner observed all queues closed+drained
   kPhaseStart,    // arg = Phase enum value
   kPhaseEnd,      // arg = Phase enum value
-  kBackoffSleep,  // a backoff wait actually slept (arg = sleeps performed)
+  kBackoffSleep,  // a full-ring or idle-combiner wait blocked (arg = 1)
   kTaskRetry,     // a map task is re-executed after a transient failure
                   // (arg = first split of the retried task)
   kIoWindow,      // the IO lane published an input window as map tasks

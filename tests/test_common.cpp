@@ -101,8 +101,7 @@ TEST(Env, ScopedOverrideRestoresPreviousValue) {
 
 TEST(Config, DefaultsMatchPaper) {
   RuntimeConfig cfg;
-  EXPECT_EQ(cfg.queue_capacity, 5000u);           // Sec. III-A
-  EXPECT_EQ(cfg.backoff, BackoffKind::kSleep);    // Sec. III-A
+  EXPECT_EQ(cfg.queue_capacity, 5000u);  // Sec. III-A
   EXPECT_EQ(cfg.pin_policy, PinPolicy::kRamrPaired);
 }
 
@@ -213,6 +212,9 @@ class KnobEnvCleared {
     save("RAMR_MEM");
     save("RAMR_HUGEPAGES");
     save("RAMR_PRECOMBINE");
+    save("RAMR_BACKOFF");
+    save("RAMR_SLEEP_US");
+    save("RAMR_SLEEP_CAP_US");
   }
   ~KnobEnvCleared() {
     for (const auto& [name, value] : saved_) {
@@ -381,7 +383,10 @@ TEST(KnobTable, RetiredKnobsNameTheirReplacement) {
   } cases[] = {
       {"RAMR_TELEMETRY", "1", "RAMR_OBS=metrics"},
       {"RAMR_TELEMETRY", "0", "RAMR_OBS=metrics"},
-      {"RAMR_SLEEP_ON_FULL", "0", "RAMR_BACKOFF=busy"},
+      {"RAMR_SLEEP_ON_FULL", "0", "blocks on the ring"},
+      {"RAMR_BACKOFF", "busy", "blocks on the ring"},
+      {"RAMR_SLEEP_US", "50", "blocks on the ring"},
+      {"RAMR_SLEEP_CAP_US", "1000", "blocks on the ring"},
       {"RAMR_MEM", "arena", "RAMR_EMIT_BATCH=32"},
       {"RAMR_MEM", "off", "RAMR_EMIT_BATCH=32"},
       {"RAMR_HUGEPAGES", "off", "transparent-huge-page"},
@@ -389,15 +394,28 @@ TEST(KnobTable, RetiredKnobsNameTheirReplacement) {
       {"RAMR_PRECOMBINE", "0", "RAMR_ADAPT=probe"},
   };
   for (const auto& c : cases) {
-    env::ScopedOverride o(c.name, c.value);
-    try {
-      (void)RuntimeConfig::from_env();
-      ADD_FAILURE() << c.name << " was accepted";
-    } catch (const ConfigError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(c.name), std::string::npos) << what;
-      EXPECT_NE(what.find(c.replacement), std::string::npos) << what;
+    {
+      env::ScopedOverride o(c.name, c.value);
+      try {
+        (void)RuntimeConfig::from_env();
+        ADD_FAILURE() << c.name << " was accepted";
+      } catch (const ConfigError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(c.name), std::string::npos) << what;
+        EXPECT_NE(what.find(c.replacement), std::string::npos) << what;
+      }
     }
+    // A replacement spelled as a setting must itself be accepted, so no
+    // retired row points at another retired or malformed knob.
+    const std::string replacement = c.replacement;
+    const std::size_t eq = replacement.find('=');
+    if (replacement.rfind("RAMR_", 0) != 0 || eq == std::string::npos) {
+      continue;
+    }
+    const std::size_t end = replacement.find(' ', eq);
+    env::ScopedOverride r(replacement.substr(0, eq),
+                          replacement.substr(eq + 1, end - eq - 1));
+    EXPECT_NO_THROW((void)RuntimeConfig::from_env()) << replacement;
   }
 }
 
@@ -434,10 +452,10 @@ TEST(KnobTable, AdaptErrorListsTheModes) {
 TEST(KnobTable, PinnedRecordFlagsPlanKnobsOnly) {
   KnobEnvCleared clear;
   {
-    env::ScopedOverride cap("RAMR_SLEEP_CAP_US", "2000");
+    env::ScopedOverride batch("RAMR_EMIT_BATCH", "32");
     const RuntimeConfig cfg = RuntimeConfig::from_env();
-    EXPECT_TRUE(cfg.pinned[Knob::kSleepCapMicros]);
-    // A backoff knob, not a plan knob: the plan cache never records it.
+    EXPECT_TRUE(cfg.pinned[Knob::kEmitBatch]);
+    // A run knob, not a plan knob: the plan cache never records it.
     EXPECT_FALSE(cfg.pinned.any_plan_knob());
   }
   for (const char* plan_knob :

@@ -1,6 +1,6 @@
 // Tests for the RAMR decoupled runtime: correctness against serial
 // references and the baseline runtime, knob sweeps (ratio, batch, queue
-// capacity, backoff, pinning), stress configurations, and pipeline
+// capacity, pinning), stress configurations, and pipeline
 // diagnostics.
 #include <gtest/gtest.h>
 
@@ -95,17 +95,6 @@ TEST(RamrRuntime, TinyQueueForcesBlockingButStaysCorrect) {
   const auto result = rt.run(app, input);
   EXPECT_TRUE(pairs_match(result.pairs, app.reference(input)));
   EXPECT_GT(result.queue_failed_pushes, 0u);  // backpressure really happened
-}
-
-TEST(RamrRuntime, BusyWaitBackoffStaysCorrect) {
-  const ModCountApp app;
-  const auto input = make_numbers(20000, 7);
-  RuntimeConfig cfg = small_config(2, 1);
-  cfg.backoff = BackoffKind::kBusyWait;
-  cfg.queue_capacity = 16;
-  cfg.batch_size = 8;
-  Runtime<ModCountApp> rt(topo::host(), cfg);
-  EXPECT_TRUE(pairs_match(rt.run(app, input).pairs, app.reference(input)));
 }
 
 class RamrKnobSweep

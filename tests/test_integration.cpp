@@ -30,8 +30,6 @@ TEST(Integration, FullEnvKnobSetDrivesARealRun) {
   env::ScopedOverride d("RAMR_QUEUE_CAPACITY", "128");
   env::ScopedOverride e("RAMR_BATCH_SIZE", "16");
   env::ScopedOverride f("RAMR_PIN_POLICY", "os");
-  env::ScopedOverride g("RAMR_BACKOFF", "sleep");
-  env::ScopedOverride h("RAMR_SLEEP_US", "10");
 
   // WC runs the decoupled pipeline, so the ring knobs reach the run (HG,
   // LR and PCA run fused by their kCombinesInMap trait).

@@ -34,7 +34,6 @@ TEST_P(RingTorture, RandomizedBurstsPreserveSequence) {
   std::thread consumer([&ring, consumer_seed, total] {
     Xoshiro256 crng(consumer_seed);
     std::uint64_t expected = 0;
-    spsc::SleepBackoff idle(std::chrono::microseconds(10));
     while (expected < total) {
       const std::size_t batch = 1 + crng.below(64);
       const bool use_batch = crng.below(2) == 0;
@@ -56,16 +55,15 @@ TEST_P(RingTorture, RandomizedBurstsPreserveSequence) {
           got = 1;
         }
       }
-      if (got == 0) idle.wait();
+      if (got == 0) std::this_thread::yield();
     }
   });
 
-  spsc::SleepBackoff backoff(std::chrono::microseconds(10));
   std::uint64_t next = 0;
   while (next < total) {
     const std::uint64_t burst = 1 + rng.below(128);
     for (std::uint64_t i = 0; i < burst && next < total; ++i) {
-      ring.push(std::uint64_t{next}, backoff);
+      while (!ring.try_push(std::uint64_t{next})) std::this_thread::yield();
       ++next;
     }
     if (rng.below(4) == 0) std::this_thread::yield();
@@ -234,9 +232,6 @@ TEST_P(KnobFuzz, RandomConfigsAlwaysProduceTheReferenceResult) {
     cfg.queue_capacity = 2 + rng.below(2000);
     cfg.batch_size = 1 + rng.below(cfg.queue_capacity);
     cfg.task_size = 1 + rng.below(16);
-    cfg.backoff = rng.below(2) == 0 ? BackoffKind::kSleep
-                                    : BackoffKind::kBusyWait;
-    cfg.sleep_micros = rng.below(100);
     cfg.pin_policy = PinPolicy::kOsDefault;
     core::Runtime<testing::ModCountApp> rt(topo::host(), cfg);
     EXPECT_TRUE(testing::pairs_match(rt.run(app, input).pairs, ref))

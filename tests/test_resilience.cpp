@@ -280,7 +280,7 @@ TEST(Shed, LowestPriorityNewestFirstAboveWatermark) {
   const int prios[5] = {0, 0, 10, 0, 0};
   std::vector<JobId> ids;
   for (int i = 0; i < 5; ++i) {
-    spec.name = "q" + std::to_string(i);
+    spec.name = {'q', static_cast<char>('0' + i)};
     spec.priority = prios[i];
     ids.push_back(sched.submit(spec, [](JobContext&) {}));
   }

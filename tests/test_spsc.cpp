@@ -1,8 +1,9 @@
-// Unit, property, and stress tests for the SPSC ring, ring sets, backoff
-// policies, and the dynamic-queue ablation baseline.
+// Unit, property, and stress tests for the SPSC ring, ring sets, the
+// doorbell wait, and the dynamic-queue ablation baseline.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "spsc/backoff.hpp"
+#include "spsc/doorbell.hpp"
 #include "spsc/dynamic_queue.hpp"
 #include "spsc/ring.hpp"
 #include "spsc/ring_set.hpp"
@@ -100,7 +101,7 @@ TEST(Ring, DestroysLeftoverElements) {
 }
 
 TEST(Ring, FailedPushLeavesValueIntactForRetry) {
-  // Regression: push() retries with the same object after a full-queue
+  // Regression: the mapper retries with the same object after a full-queue
   // failure, so try_push must not move from its argument when it fails.
   Ring<std::string> r(2);
   ASSERT_TRUE(r.try_push(std::string("a")));
@@ -146,12 +147,14 @@ TEST(RingSet, SingleRingDegenerateCase) {
   only.try_push(2);
   only.close();
   int sum = 0;
-  BusyWaitBackoff idle;
-  const std::size_t n = set.drain(
-      [&](std::span<int> block) {
-        for (int v : block) sum += v;
-      },
-      4, idle);
+  std::size_t n = 0;
+  while (!set.finished()) {
+    n += set.sweep(
+        [&](std::span<int> block) {
+          for (int v : block) sum += v;
+        },
+        4);
+  }
   EXPECT_EQ(n, 2u);
   EXPECT_EQ(sum, 3);
   EXPECT_TRUE(set.finished());
@@ -360,7 +363,6 @@ TEST(RingPushBatch, ConcurrentBatchedProducerTransfersEverythingOnce) {
   bool ordered = true;
 
   std::thread consumer([&] {
-    SleepBackoff idle(std::chrono::microseconds(20));
     for (;;) {
       const std::size_t got = r.consume_batch(
           [&](std::span<std::uint64_t> block) {
@@ -374,12 +376,11 @@ TEST(RingPushBatch, ConcurrentBatchedProducerTransfersEverythingOnce) {
           32);
       if (got == 0) {
         if (r.closed() && r.empty()) break;
-        idle.wait();
+        std::this_thread::yield();
       }
     }
   });
 
-  SleepBackoff backoff(std::chrono::microseconds(20));
   std::vector<std::uint64_t> staging;
   std::uint64_t next = 1;
   while (next <= total) {
@@ -389,7 +390,7 @@ TEST(RingPushBatch, ConcurrentBatchedProducerTransfersEverythingOnce) {
     while (!rest.empty()) {
       const std::size_t n = r.try_push_batch(rest);
       if (n == 0) {
-        backoff.wait();
+        std::this_thread::yield();
         continue;
       }
       rest = rest.subspan(n);
@@ -448,7 +449,6 @@ TEST_P(RingStress, ProducerConsumerTransfersEverythingOnce) {
   bool ordered = true;
 
   std::thread consumer([&] {
-    SleepBackoff idle(std::chrono::microseconds(20));
     for (;;) {
       const std::size_t got = r.consume_batch(
           [&](std::span<std::uint64_t> block) {
@@ -462,13 +462,14 @@ TEST_P(RingStress, ProducerConsumerTransfersEverythingOnce) {
           64);
       if (got == 0) {
         if (r.closed() && r.empty()) break;
-        idle.wait();
+        std::this_thread::yield();
       }
     }
   });
 
-  SleepBackoff backoff(std::chrono::microseconds(20));
-  for (std::uint64_t i = 1; i <= total; ++i) r.push(i, backoff);
+  for (std::uint64_t i = 1; i <= total; ++i) {
+    while (!r.try_push(i)) std::this_thread::yield();
+  }
   r.close();
   consumer.join();
 
@@ -480,24 +481,24 @@ TEST_P(RingStress, ProducerConsumerTransfersEverythingOnce) {
 INSTANTIATE_TEST_SUITE_P(Capacities, RingStress,
                          ::testing::Values(2, 8, 128, 5000));
 
-TEST(RingStress, BusyWaitBackoffAlsoCompletes) {
+TEST(RingStress, ElementWisePopAlsoCompletes) {
   Ring<int> r(4);
   std::atomic<long long> sum{0};
   std::thread consumer([&] {
     int out;
-    BusyWaitBackoff idle;
     for (;;) {
       if (r.try_pop(out)) {
         sum += out;
       } else if (r.closed() && r.empty()) {
         break;
       } else {
-        idle.wait();
+        cpu_relax();
       }
     }
   });
-  BusyWaitBackoff backoff;
-  for (int i = 1; i <= 5000; ++i) r.push(i, backoff);
+  for (int i = 1; i <= 5000; ++i) {
+    while (!r.try_push(i)) cpu_relax();
+  }
   r.close();
   consumer.join();
   EXPECT_EQ(sum.load(), 5000LL * 5001 / 2);
@@ -519,20 +520,21 @@ TEST(RingSet, DrainsMultipleQueuesToCompletion) {
   const std::uint64_t per_queue = 5000;
   std::uint64_t sum = 0;
   std::thread combiner([&] {
-    SleepBackoff idle(std::chrono::microseconds(20));
-    set.drain(
-        [&](std::span<std::uint64_t> block) {
-          for (std::uint64_t v : block) sum += v;
-        },
-        32, idle);
+    while (!set.finished()) {
+      const std::size_t got = set.sweep(
+          [&](std::span<std::uint64_t> block) {
+            for (std::uint64_t v : block) sum += v;
+          },
+          32);
+      if (got == 0) std::this_thread::yield();
+    }
   });
 
   std::vector<std::thread> producers;
   for (std::size_t q = 0; q < kQueues; ++q) {
     producers.emplace_back([&, q] {
-      SleepBackoff backoff(std::chrono::microseconds(20));
       for (std::uint64_t i = 1; i <= per_queue; ++i) {
-        rings[q]->push(i, backoff);
+        while (!rings[q]->try_push(i)) std::this_thread::yield();
       }
       rings[q]->close();
     });
@@ -544,17 +546,23 @@ TEST(RingSet, DrainsMultipleQueuesToCompletion) {
 }
 
 TEST(RingSet, FinishedOnlyWhenAllClosedAndEmpty) {
+  // ready() is the idle combiner's wait condition: data to sweep, or
+  // every queue closed.
   Ring<int> a(4), b(4);
   RingSet<int> set({&a, &b});
   EXPECT_FALSE(set.finished());
+  EXPECT_FALSE(set.ready());
   a.close();
   EXPECT_FALSE(set.finished());  // b still open
+  EXPECT_FALSE(set.ready());
   b.try_push(1);
+  EXPECT_TRUE(set.ready());
   b.close();
   EXPECT_FALSE(set.finished());  // b closed but not empty
   int out;
   b.try_pop(out);
   EXPECT_TRUE(set.finished());
+  EXPECT_TRUE(set.ready());
 }
 
 // ---------- DynamicQueue (ablation baseline) ----------------------------------
@@ -595,75 +603,78 @@ TEST(DynamicQueue, ConcurrentTransfer) {
   EXPECT_EQ(sum, total * (total + 1) / 2);
 }
 
-// ---------- backoff -----------------------------------------------------------
+// ---------- Doorbell ------------------------------------------------------------
 
-TEST(Backoff, SleepBackoffSpinsBeforeSleeping) {
-  SleepBackoff b(std::chrono::microseconds(1), /*spin_limit=*/4);
-  for (int i = 0; i < 4; ++i) b.wait();
-  EXPECT_EQ(b.sleep_count(), 0u);
-  b.wait();
-  EXPECT_EQ(b.sleep_count(), 1u);
-  b.reset();
-  b.wait();  // spinning again after reset
-  EXPECT_EQ(b.sleep_count(), 1u);
+TEST(Doorbell, ReadyWaitReturnsWithoutBlocking) {
+  Doorbell bell;
+  EXPECT_FALSE(bell.wait([] { return true; }));
 }
 
-TEST(Backoff, ExponentialDoublesUpToCapAndResets) {
-  ExponentialSleepBackoff b(std::chrono::microseconds(2),
-                            std::chrono::microseconds(16),
-                            /*spin_limit=*/0);
-  EXPECT_EQ(b.current_period(), std::chrono::microseconds(2));
-  b.wait();  // sleeps 2us, ladder moves to 4
-  EXPECT_EQ(b.current_period(), std::chrono::microseconds(4));
-  b.wait();
-  b.wait();
-  EXPECT_EQ(b.current_period(), std::chrono::microseconds(16));
-  b.wait();  // capped: stays at 16
-  EXPECT_EQ(b.current_period(), std::chrono::microseconds(16));
-  EXPECT_EQ(b.sleep_count(), 4u);
-  b.reset();
-  EXPECT_EQ(b.current_period(), std::chrono::microseconds(2));
-  EXPECT_EQ(b.sleep_count(), 4u);  // counter is cumulative
+TEST(Doorbell, UnrungWaitIsBounded) {
+  // Nobody rings: the wait still returns after one bounded block, so a
+  // waiter polls its cancellation token and heartbeat at least that often.
+  Doorbell bell;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(bell.wait([] { return false; }));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, Doorbell::kMaxBlock);
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
-TEST(Backoff, ExponentialSpinsBeforeFirstSleep) {
-  ExponentialSleepBackoff b(std::chrono::microseconds(1),
-                            std::chrono::microseconds(8),
-                            /*spin_limit=*/3);
-  for (int i = 0; i < 3; ++i) b.wait();
-  EXPECT_EQ(b.sleep_count(), 0u);
-  b.wait();
-  EXPECT_EQ(b.sleep_count(), 1u);
-}
+TEST(Doorbell, LostWakeupTortureOnATwoSlotRing) {
+  // The pipeline's hand-off protocol on the tightest ring (capacity 2,
+  // batch 1): the producer rings the consumer's bell after every record
+  // and before it blocks, the consumer rings the producer's bell once the
+  // ring is at most half full, and each side blocks on its own bell. A
+  // wakeup lost to the arm/re-check race costs a full kMaxBlock, so a
+  // million records finishing within the bound shows the race is closed.
+  Ring<std::uint64_t> ring(2);
+  Doorbell space;
+  Doorbell work;
+  const std::size_t half_full = ring.capacity() / 2;
+  const std::uint64_t total = 1'000'000;
+  std::uint64_t sum = 0;
+  std::uint64_t count = 0;
+  std::uint64_t last = 0;
+  bool ordered = true;
 
-TEST(Backoff, AllPoliciesStopWhenBoundFlagRaised) {
-  std::atomic<bool> stop{false};
-  BusyWaitBackoff busy;
-  SleepBackoff sleep(std::chrono::microseconds(1), 0);
-  ExponentialSleepBackoff expo(std::chrono::microseconds(1),
-                               std::chrono::microseconds(8), 0);
-  busy.bind(&stop);
-  sleep.bind(&stop);
-  expo.bind(&stop);
-  EXPECT_TRUE(busy.wait());
-  EXPECT_TRUE(sleep.wait());
-  EXPECT_TRUE(expo.wait());
-  stop.store(true);
-  EXPECT_FALSE(busy.wait());
-  EXPECT_FALSE(sleep.wait());
-  EXPECT_FALSE(expo.wait());
-  // A stopped wait performs no sleep.
-  EXPECT_EQ(sleep.sleep_count(), 1u);
-  EXPECT_EQ(expo.sleep_count(), 1u);
-}
-
-TEST(Backoff, UnboundPoliciesNeverStop) {
-  BusyWaitBackoff busy;
-  SleepBackoff sleep(std::chrono::microseconds(1), 4);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(busy.wait());
-    EXPECT_TRUE(sleep.wait());
+  const auto start = std::chrono::steady_clock::now();
+  std::thread consumer([&] {
+    for (;;) {
+      const std::size_t got = ring.consume_batch(
+          [&](std::span<std::uint64_t> block) {
+            for (std::uint64_t v : block) {
+              if (count > 0 && v != last + 1) ordered = false;
+              last = v;
+              sum += v;
+              ++count;
+            }
+          },
+          1);
+      if (got > 0) {
+        space.notify_if([&] { return ring.size() <= half_full; });
+        continue;
+      }
+      if (ring.closed() && ring.empty()) break;
+      work.wait([&] { return !ring.empty() || ring.closed(); });
+    }
+  });
+  for (std::uint64_t i = 1; i <= total; ++i) {
+    while (!ring.try_push(i)) {
+      work.notify();
+      space.wait([&] { return ring.size() <= half_full; });
+    }
+    work.notify();
   }
+  ring.close();
+  work.notify();
+  consumer.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_EQ(count, total);
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(sum, total * (total + 1) / 2);
+  EXPECT_LT(elapsed, std::chrono::seconds(60));
 }
 
 }  // namespace

@@ -143,10 +143,10 @@ TEST(RuntimeIntegration, RamrRunProducesCoherentTrace) {
 }
 
 TEST(RuntimeIntegration, BackoffSleepEventsMatchTheResultCounter) {
-  // Tiny ring + tiny batches force backpressure, so the sleep-backoff paths
-  // actually fire. Each backoff wait() sleeps at most once and the event is
-  // recorded with the per-wait delta, so the sum of kBackoffSleep args must
-  // equal the aggregate the result reports — regardless of scheduling.
+  // Tiny ring + tiny batches force backpressure, so the blocking waits
+  // actually fire. Each blocking wait records one kBackoffSleep event, so
+  // the sum of their args must equal the aggregate the result reports —
+  // regardless of scheduling.
   // The static plan: a decided run would add probe slices the recorder
   // does not see.
   const testing::ModCountApp app;
