@@ -124,7 +124,6 @@ int run_soak(double budget_seconds, const std::string& report_path) {
       std::max<std::size_t>(opts.max_concurrent_jobs, 2);
   opts.queue_depth = std::max<std::size_t>(opts.queue_depth, 16);
   if (opts.max_retries == 0) opts.max_retries = 3;
-  if (opts.hedge_factor == 0.0) opts.hedge_factor = 3.0;
   service::Scheduler sched(topo, opts);
 
   App app;
@@ -171,9 +170,8 @@ int run_soak(double budget_seconds, const std::string& report_path) {
   }
 
   std::size_t done = 0, failed = 0, cancelled = 0, rejected = 0, shed = 0;
-  std::size_t hedge_twins = 0, non_terminal = 0;
+  std::size_t non_terminal = 0;
   for (const service::JobReport& r : sched.drain()) {
-    if (r.hedge_of != 0) ++hedge_twins;
     switch (r.status) {
       case service::JobStatus::kDone: ++done; break;
       case service::JobStatus::kFailed: ++failed; break;
@@ -189,7 +187,6 @@ int run_soak(double budget_seconds, const std::string& report_path) {
             << "soak: submitted=" << submitted << " done=" << done
             << " failed=" << failed << " cancelled=" << cancelled
             << " rejected=" << rejected << " shed=" << shed
-            << " hedge_twins=" << hedge_twins
             << " non_terminal=" << non_terminal << '\n'
             << "soak: leaked_cores=" << leaked
             << " depot_leased=" << depot_stats.leased << '\n';

@@ -43,33 +43,6 @@ Verdict judge_counters(const SuitabilityModel& model,
   return v;
 }
 
-Verdict judge_split_counters(const SuitabilityModel& model,
-                             const perf::Counters& map_side,
-                             const perf::Counters& combine_side) {
-  // Phase totals feed the Fig. 10 rule. input_bytes describes the same
-  // input for both pools, so take the larger, not the sum.
-  perf::Counters total;
-  total.instructions = map_side.instructions + combine_side.instructions;
-  total.mem_stall_cycles =
-      map_side.mem_stall_cycles + combine_side.mem_stall_cycles;
-  total.resource_stall_cycles =
-      map_side.resource_stall_cycles + combine_side.resource_stall_cycles;
-  total.input_bytes = std::max(map_side.input_bytes, combine_side.input_bytes);
-  Verdict v = judge_counters(model, total);
-
-  // MSPI/RSPI complementarity of map vs. combine: stalls concentrated on
-  // the combine side are exactly the cycles the decoupled pool overlaps
-  // with useful map work, so they strengthen the pipelined score.
-  const double map_stalls = map_side.mspi() + map_side.rspi();
-  const double combine_stalls = combine_side.mspi() + combine_side.rspi();
-  if (combine_stalls > map_stalls && combine_stalls > 0.0) {
-    v.score *= 1.5;
-    v.reason += " combine-side stalls dominate (" + fmt(combine_stalls) +
-                " vs " + fmt(map_stalls) + "/instr): complementary";
-  }
-  return v;
-}
-
 Verdict judge_empirical(const SuitabilityModel& model,
                         const EmpiricalSample& sample) {
   const double total_cpu = sample.map_cpu_seconds + sample.combine_cpu_seconds;

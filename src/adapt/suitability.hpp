@@ -11,17 +11,18 @@
 // (bench_fig10_suitability over the Haswell model) such that the paper's
 // verdicts come out: KM/MM (and hashed WC) pipelined, HG/LR/PCA fused.
 //
-// Two scoring entry points:
-//  * judge_counters / judge_split_counters — the Fig. 10 rule over PMU (or
-//    modeled) counters, for hosts where perf_event is available and for
-//    the recorded-fixture tests;
-//  * judge_empirical — a byte-free fallback over per-pool thread CPU time,
-//    for hosts without PMU access (containers, CI): cost per emitted
-//    record stands in for IPB, and the combine pool's share of the CPU
-//    stands in for the stall complementarity (a heavy combine side is
-//    exactly the work the decoupled pool absorbs). CPU time, unlike
-//    wall-clock, is workload-intrinsic, so the verdict is stable even on
-//    an oversubscribed 1-core host where the probe runs time-slice.
+// Two rules:
+//  * judge_empirical — the one the adaptive controller scores with, over
+//    per-pool thread CPU time of its probe runs: cost per emitted record
+//    stands in for IPB, and the combine pool's share of the CPU stands in
+//    for the stall complementarity (a heavy combine side is exactly the
+//    work the decoupled pool absorbs). CPU time, unlike wall-clock, is
+//    workload-intrinsic, so the verdict is stable even on an
+//    oversubscribed 1-core host where the probe runs time-slice;
+//  * judge_counters — the paper's Fig. 10 rule over PMU (or modeled)
+//    counters. Nothing in the runtime calls it; it stays as the rule the
+//    simulator's Fig. 10a reproduction is checked against
+//    (Suitability.Fig10aVerdictsMatchPaper).
 #pragma once
 
 #include <cstdint>
@@ -55,15 +56,6 @@ struct Verdict {
 // must be filled — IPB is instructions per input byte).
 Verdict judge_counters(const SuitabilityModel& model,
                        const perf::Counters& map_combine);
-
-// Split-pool variant: per-pool counters from a pipelined probe run. The
-// totals feed the Fig. 10 rule; additionally, when the combine side
-// concentrates the stalls (its stalls-per-instruction exceed the map
-// side's), the complementarity strengthens the pipelined score — stalls
-// that live in combine are precisely what the decoupled pool overlaps.
-Verdict judge_split_counters(const SuitabilityModel& model,
-                             const perf::Counters& map_side,
-                             const perf::Counters& combine_side);
 
 // What a PMU-less probe run measures.
 struct EmpiricalSample {

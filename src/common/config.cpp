@@ -1,7 +1,6 @@
 #include "common/config.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <stdexcept>
 #include <string_view>
@@ -55,9 +54,6 @@ constexpr Named<PmuMode> kPmuModes[] = {
 
 struct Uint {  // unsigned integer in [lo, hi]
   std::size_t lo, hi;
-};
-struct Real {  // finite number in [lo, hi]; 0 (off) is accepted too
-  double lo, hi;
 };
 struct Flag {};  // on|off
 struct Text {};  // any string
@@ -163,9 +159,6 @@ void for_each_knob(Config& c, Visit&& v) {
   v({Knob::kServiceRetries, "RAMR_SERVICE_RETRIES", kRun,
      "job-level retry budget (docs/ARCHITECTURE.md §13)"},
     c.service_max_retries, Uint{0, 100});
-  v({Knob::kHedgeFactor, "RAMR_HEDGE_FACTOR", kRun,
-     "hedge a job running this multiple of its app's EWMA (0 = off)"},
-    c.service_hedge_factor, Real{1.0, 100.0});
   v({Knob::kBreakerK, "RAMR_BREAKER_K", kRun,
      "open an app's circuit breaker after K consecutive failures (0 = off)"},
     c.service_breaker_k, Uint{0, 1000});
@@ -197,15 +190,13 @@ constexpr Retired kRetired[] = {
      "the system's transparent-huge-page setting (rings use the heap)"},
     {"RAMR_PRECOMBINE",
      "RAMR_ADAPT=probe (a fused plan combines inside the mapper)"},
+    {"RAMR_HEDGE_FACTOR",
+     "a run deadline (RAMR_DEADLINE_MS or JobSpec::deadline_ms) plus "
+     "RAMR_SERVICE_RETRIES: the watchdog aborts a straggling job and the "
+     "degrade ladder retries it"},
 };
 
 // ---- per-domain parse / print / describe ------------------------------------
-
-std::string format_double(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
 
 template <typename V, std::size_t N>
 std::vector<std::string> canonical_names(const Named<V> (&names)[N]) {
@@ -258,15 +249,6 @@ void parse(const Row& row, std::size_t& field, Uint d, const std::string& raw) {
   field = static_cast<std::size_t>(v);
 }
 
-void parse(const Row& row, double& field, Real d, const std::string& raw) {
-  const double v = env::parse_double(row.env, raw);
-  if (v != 0.0 && (v < d.lo || v > d.hi)) {
-    throw_out_of_range(row, raw, "(0 to disable, else [" + format_double(d.lo) +
-                                     ", " + format_double(d.hi) + "])");
-  }
-  field = v;
-}
-
 void parse(const Row& row, bool& field, Flag, const std::string& raw) {
   field = env::parse_bool(row.env, raw);
 }
@@ -282,7 +264,6 @@ void parse(const Row& row, F& field, const Named<V> (&names)[N],
 }
 
 std::string print(std::size_t v, Uint) { return std::to_string(v); }
-std::string print(double v, Real) { return format_double(v); }
 std::string print(bool v, Flag) { return v ? "on" : "off"; }
 std::string print(const std::string& v, Text) { return v; }
 
@@ -293,12 +274,6 @@ std::string print(const F& v, const Named<V> (&names)[N]) {
 
 void describe(KnobInfo& k, Uint d) {
   k.kind = KnobKind::kUint;
-  k.lo = static_cast<double>(d.lo);
-  k.hi = static_cast<double>(d.hi);
-}
-
-void describe(KnobInfo& k, Real d) {
-  k.kind = KnobKind::kReal;
   k.lo = d.lo;
   k.hi = d.hi;
 }

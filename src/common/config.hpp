@@ -16,6 +16,7 @@
 
 #include <bitset>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -82,8 +83,8 @@ enum class Knob : std::size_t {
   kPinPolicy, kSplitDistribution, kEmitBatch, kTaskRetries, kDeadlineMs,
   kStallMs, kFaults, kIo, kIoWindow, kIoDepth, kObs, kPmu, kSampleMicros,
   kMetricsPath, kFlightEvents, kAdapt, kPlanCache, kAdaptReport, kService,
-  kServiceJobs, kServiceQueue, kServiceRetries, kHedgeFactor, kBreakerK,
-  kShedWatermark, kCount
+  kServiceJobs, kServiceQueue, kServiceRetries, kBreakerK, kShedWatermark,
+  kCount
 };
 
 inline constexpr std::size_t kKnobCount =
@@ -203,11 +204,10 @@ struct RuntimeConfig {
 
   // service::Scheduler admission and resilience knobs, copied by
   // Scheduler::Options::from_env (Options documents each; 0 = off for the
-  // retry budget, hedge factor, breaker and shed watermark).
+  // retry budget, breaker and shed watermark).
   std::size_t service_max_jobs = 0;
   std::size_t service_queue_depth = 16;
   std::size_t service_max_retries = 0;
-  double service_hedge_factor = 0.0;
   std::size_t service_breaker_k = 0;
   std::size_t service_shed_watermark = 0;
 
@@ -238,7 +238,6 @@ struct RuntimeConfig {
 
 enum class KnobKind {
   kUint,    // unsigned integer in [lo, hi]
-  kReal,    // finite number: 0 (off) or in [lo, hi]
   kFlag,    // on|off (also 1|0, true|false, yes|no)
   kText,    // free text (a path or a spec)
   kChoice,  // one of `choices` (or one of their aliases)
@@ -251,8 +250,8 @@ struct KnobInfo {
   bool plan = false;     // an execution plan may decide it unless pinned
   const char* doc = "";
   KnobKind kind = KnobKind::kText;
-  double lo = 0.0;    // kUint / kReal bounds
-  double hi = 0.0;
+  std::uint64_t lo = 0;  // kUint bounds
+  std::uint64_t hi = 0;
   std::vector<std::string> choices;  // kChoice canonical names
   std::string default_value;         // the RuntimeConfig{} value, printed
 };

@@ -1,7 +1,6 @@
 #include "common/env.hpp"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -52,18 +51,6 @@ std::uint64_t parse_uint(const std::string& name, const std::string& raw) {
                       "' is not a valid unsigned integer");
   }
   return static_cast<std::uint64_t>(value);
-}
-
-double parse_double(const std::string& name, const std::string& raw) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (errno == ERANGE || end == raw.c_str() || *end != '\0' ||
-      !std::isfinite(value)) {
-    throw ConfigError("env knob " + name + "='" + raw +
-                      "' is not a valid finite number");
-  }
-  return value;
 }
 
 bool parse_bool(const std::string& name, const std::string& raw) {

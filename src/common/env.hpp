@@ -21,10 +21,8 @@ std::uint64_t get_uint(const std::string& name, std::uint64_t fallback);
 bool get_bool(const std::string& name, bool fallback);
 
 // The parsers behind the lookups and the knob table: `raw` is the value of
-// variable `name`, which every error message names. parse_double rejects
-// non-finite values.
+// variable `name`, which every error message names.
 std::uint64_t parse_uint(const std::string& name, const std::string& raw);
-double parse_double(const std::string& name, const std::string& raw);
 bool parse_bool(const std::string& name, const std::string& raw);
 
 // Scoped override for tests: sets `name=value` on construction and restores

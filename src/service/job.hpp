@@ -126,12 +126,6 @@ struct JobReport {
   // "strategy=fused", "cores=8->4", "retry").
   std::vector<std::string> degraded_steps;
 
-  // Hedged execution: non-zero marks this report as the hedge twin of job
-  // `hedge_of`; on a hedged primary, `hedge_winner` records which copy
-  // finished first ("primary" | "hedge").
-  JobId hedge_of = 0;
-  std::string hedge_winner;
-
   std::string describe() const {
     std::string s = "job=" + (name.empty() ? "?" : name) +
                     " id=" + std::to_string(id) +
@@ -158,8 +152,6 @@ struct JobReport {
       }
       s += "]";
     }
-    if (hedge_of != 0) s += " hedge_of=" + std::to_string(hedge_of);
-    if (!hedge_winner.empty()) s += " hedge_winner=" + hedge_winner;
     if (!error.empty()) s += " error=" + error;
     return s;
   }

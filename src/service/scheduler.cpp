@@ -38,8 +38,6 @@ std::vector<std::pair<std::string, std::uint64_t>> counter_pairs(
           {"shed", s.shed},
           {"retries", s.retries},
           {"degraded", s.degraded},
-          {"hedges", s.hedges},
-          {"hedge_wins", s.hedge_wins},
           {"breaker_trips", s.breaker_trips},
           {"breaker_rejects", s.breaker_rejects},
           {"job_faults", s.job_faults}};
@@ -79,7 +77,6 @@ std::string ServiceStats::summary() const {
      << " failed=" << failed << " cancelled=" << cancelled
      << " rejected=" << rejected << " shed=" << shed
      << " retries=" << retries << " degraded=" << degraded
-     << " hedges=" << hedges << " hedge_wins=" << hedge_wins
      << " breaker_trips=" << breaker_trips
      << " breaker_rejects=" << breaker_rejects
      << " job_faults=" << job_faults;
@@ -117,9 +114,9 @@ JobId Scheduler::submit(JobSpec spec, std::function<void(JobContext&)> body) {
   return submit_internal(std::move(spec), std::move(body), nullptr);
 }
 
-JobId Scheduler::submit_internal(JobSpec spec,
-                                 std::function<void(JobContext&)> body,
+JobId Scheduler::submit_internal(JobSpec spec, Body body,
                                  TerminalCallback on_terminal) {
+  std::vector<Body> released;  // destroyed after the lock is released
   std::lock_guard lock(mutex_);
   auto job = std::make_shared<Job>();
   job->spec = std::move(spec);
@@ -152,10 +149,14 @@ JobId Scheduler::submit_internal(JobSpec spec,
                   "requested " + std::to_string(job->want_cores) +
                       " cores; topology has " +
                       std::to_string(cores_.total()));
-  } else if (!app_stats_.admit(job->spec.name, opts_.breaker_k, now())) {
+  } else if (!app_stats_.admit(job->spec.name, opts_.breaker_k, now(),
+                               job->id)) {
     ++stats_.breaker_rejects;
     finish_locked(*job, JobStatus::kRejected,
-                  "circuit breaker open for app '" + job->spec.name + "'");
+                  "circuit breaker " +
+                      std::string(to_string(
+                          app_stats_.find(job->spec.name)->breaker)) +
+                      " for app '" + job->spec.name + "'");
   } else if (queue_.size() >= opts_.queue_depth) {
     finish_locked(*job, JobStatus::kRejected,
                   "queue full (depth " + std::to_string(opts_.queue_depth) +
@@ -166,10 +167,12 @@ JobId Scheduler::submit_internal(JobSpec spec,
     shed_locked();
     cv_.notify_all();
   }
+  released = take_bodies_locked();
   return job->id;
 }
 
 bool Scheduler::cancel(JobId id) {
+  std::vector<Body> released;  // destroyed after the lock is released
   std::lock_guard lock(mutex_);
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return false;
@@ -181,6 +184,7 @@ bool Scheduler::cancel(JobId id) {
     auto pos = std::find(queue_.begin(), queue_.end(), it->second);
     if (pos != queue_.end()) queue_.erase(pos);
     finish_locked(job, JobStatus::kCancelled, "cancelled while queued");
+    released = take_bodies_locked();
   }
   cv_.notify_all();
   return true;
@@ -394,6 +398,7 @@ void Scheduler::stop_obs() {
 
 void Scheduler::shutdown() {
   {
+    std::vector<Body> released;  // destroyed after the lock is released
     std::lock_guard lock(mutex_);
     if (!stopping_) {
       stopping_ = true;
@@ -404,6 +409,7 @@ void Scheduler::shutdown() {
                            "scheduler shutdown");
         finish_locked(*job, JobStatus::kCancelled, "scheduler shutdown");
       }
+      released = take_bodies_locked();
       for (auto& [id, job] : jobs_) {
         if (job->status == JobStatus::kRunning) {
           job->cancel.cancel(common::CancelCause::kExternal, {}, {},
@@ -461,15 +467,12 @@ void Scheduler::dispatch_loop() {
   std::unique_lock lock(mutex_);
   const auto tick = std::chrono::milliseconds(1);
   while (true) {
-    // Timed waits only when something needs polling: a retry backoff about
-    // to elapse, or hedge triggers while jobs run. Otherwise the dispatcher
-    // sleeps until submit/completion/cancel notifies.
-    const bool timed = backoff_pending_locked(now()) ||
-                       (opts_.hedge_factor > 0.0 && running_ > 0);
+    // Timed waits only while a retry backoff is about to elapse; otherwise
+    // the dispatcher sleeps until submit/completion/cancel notifies.
+    const bool timed = backoff_pending_locked(now());
     const auto ready = [&] {
       return stopping_ || !zombies_.empty() ||
-             (running_primary_ < max_jobs_ &&
-              first_eligible_locked(now()) != nullptr);
+             (running_ < max_jobs_ && first_eligible_locked(now()) != nullptr);
     };
     if (timed) {
       cv_.wait_for(lock, tick, ready);
@@ -484,10 +487,9 @@ void Scheduler::dispatch_loop() {
       continue;
     }
     if (stopping_) break;
-    maybe_hedge_locked();
 
     std::shared_ptr<Job> job = first_eligible_locked(now());
-    if (!job || running_primary_ >= max_jobs_) continue;
+    if (!job || running_ >= max_jobs_) continue;
 
     // A client token tripped while the job sat in the queue cancels it in
     // place — before any core lease is taken.
@@ -495,6 +497,10 @@ void Scheduler::dispatch_loop() {
       queue_.erase(std::find(queue_.begin(), queue_.end(), job));
       finish_locked(*job, JobStatus::kCancelled,
                     "client token cancelled while queued");
+      std::vector<Body> released = take_bodies_locked();
+      lock.unlock();
+      released.clear();
+      lock.lock();
       continue;
     }
 
@@ -525,56 +531,7 @@ void Scheduler::dispatch_loop() {
       obs_->trace.begin(job->id, "run");
     }
     ++running_;
-    ++running_primary_;
     job->runner = std::thread(&Scheduler::run_job, this, job);
-  }
-}
-
-// Launch hedge twins for stragglers: a running, un-hedged primary whose
-// elapsed time exceeds hedge_factor × its app's EWMA runtime, when the
-// queue is empty and spare cores exist. Twins run beyond max_jobs_ — they
-// consume only cores nobody else is waiting for.
-void Scheduler::maybe_hedge_locked() {
-  if (opts_.hedge_factor <= 0.0 || stopping_ || !queue_.empty()) return;
-  const auto t = now();
-  for (auto& [id, job] : jobs_) {
-    if (job->status != JobStatus::kRunning || job->hedge || job->hedged) {
-      continue;
-    }
-    const AppStats::App* app = app_stats_.find(job->spec.name);
-    if (app == nullptr || app->samples < opts_.hedge_min_samples) continue;
-    if (seconds_between(job->started, t) <
-        opts_.hedge_factor * app->ewma_seconds) {
-      continue;
-    }
-    std::optional<CoreLease> lease = cores_.try_acquire(job->want_cores);
-    if (!lease) continue;
-    auto hedge = std::make_shared<Job>();
-    hedge->spec = job->spec;
-    hedge->body = job->body;  // shares the primary's captured state
-    hedge->id = next_id_++;
-    hedge->submitted = t;
-    hedge->max_retries = 0;  // a hedge never retries
-    hedge->want_cores = job->want_cores;
-    hedge->hedge = true;
-    hedge->hedge_of = job->id;
-    hedge->lease = std::move(*lease);
-    hedge->status = JobStatus::kRunning;
-    hedge->started = t;
-    jobs_[hedge->id] = hedge;
-    job->hedge_id = hedge->id;
-    job->hedged = true;
-    ++running_;
-    ++stats_.hedges;
-    if (obs_ != nullptr) {
-      obs_->trace.set_job_name(
-          hedge->id,
-          trace_id(*hedge) + " (hedge of " + std::to_string(job->id) + ")");
-      obs_->trace.begin(hedge->id, "run");
-      obs_event_locked(*job, "hedge",
-                       "twin job " + std::to_string(hedge->id));
-    }
-    hedge->runner = std::thread(&Scheduler::run_job, this, hedge);
   }
 }
 
@@ -647,7 +604,7 @@ void Scheduler::run_job(const std::shared_ptr<Job>& job) {
   // soon as the completion is published below), then publish.
   cores_.release(job->lease);
 
-  std::lock_guard lock(mutex_);
+  std::unique_lock lock(mutex_);
   ++job->attempt;
   if (obs_ != nullptr) {
     obs_->trace.end(job->id, "run");
@@ -658,37 +615,32 @@ void Scheduler::run_job(const std::shared_ptr<Job>& job) {
       obs_event_locked(*job, "watchdog", error);
     }
   }
-  // If a hedge twin won while this (primary) attempt was unwinding, the
-  // job as a whole succeeded: the twin's result already fulfilled the
-  // future and its run accounting was copied onto this job.
-  const bool hedge_won = !job->hedge && job->hedge_winner == "hedge";
-  if (hedge_won) {
-    status = JobStatus::kDone;
-    error.clear();
-    error_ep = nullptr;
-  } else {
-    job->warm = ctx.warm_;
-    job->combines_in_map = ctx.combines_in_map_;
-    job->plan = ctx.plan_;
-    job->run_summary = ctx.run_summary_;
-    job->error_ep = error_ep;
-  }
+  job->warm = ctx.warm_;
+  job->combines_in_map = ctx.combines_in_map_;
+  job->plan = ctx.plan_;
+  job->run_summary = ctx.run_summary_;
+  job->error_ep = error_ep;
 
-  bool retried = false;
-  if (status == JobStatus::kFailed && !job->hedge && !stopping_ &&
+  if (status == JobStatus::kFailed && !stopping_ &&
       !job->cancel.cancelled() && job->attempt <= job->max_retries) {
     if (degradable) apply_degrade_locked(*job);
     requeue_locked(job);
     ++stats_.retries;
-    retried = true;
     obs_event_locked(*job, "retry",
                      "attempt " + std::to_string(job->attempt) + " failed: " +
                          error);
     if (obs_ != nullptr) obs_->trace.begin(job->id, "queued");
+  } else {
+    // The final attempt: destroy the body outside the lock and before the
+    // job turns terminal, so a waiter never sees what it captured. Nothing
+    // else finishes a running job, so the unlocked window is safe.
+    Body body = std::exchange(job->body, nullptr);
+    lock.unlock();
+    body = nullptr;
+    lock.lock();
+    finish_locked(*job, status, std::move(error));
   }
-  if (!retried) finish_locked(*job, status, std::move(error));
   --running_;
-  if (!job->hedge) --running_primary_;
   // This thread cannot join itself; park the handle for the dispatcher,
   // wait(), or shutdown() to reap.
   zombies_.push_back(std::move(job->runner));
@@ -791,9 +743,6 @@ void Scheduler::shed_locked() {
 }
 
 void Scheduler::finish_locked(Job& job, JobStatus status, std::string error) {
-  // Idempotent: hedge races can try to finish a job twice; the first
-  // terminal transition wins (matching the token's first-cancel-wins rule).
-  if (terminal(job.status)) return;
   job.status = status;
   job.error = std::move(error);
   if (job.started != Clock::time_point{}) {
@@ -820,22 +769,22 @@ void Scheduler::finish_locked(Job& job, JobStatus status, std::string error) {
       break;
   }
 
-  // App history: successes feed the hedging EWMA and close the breaker;
-  // final failures (budget exhausted) advance the breaker. Hedge twins are
-  // accounted through their primary, and cancel/shed outcomes say nothing
-  // about the app's health.
+  // App history: successes feed the run-time EWMA and close the breaker;
+  // final failures (budget exhausted) advance the breaker. Cancel, shed and
+  // rejection say nothing about the app's health, but a half-open trial
+  // that ends so frees the trial slot for the next submission.
   bool breaker_tripped = false;
-  if (!job.hedge) {
-    if (status == JobStatus::kDone) {
-      app_stats_.record_success(job.spec.name, job.run_seconds);
-    } else if (status == JobStatus::kFailed) {
-      if (app_stats_.record_failure(
-              job.spec.name, opts_.breaker_k, now(),
-              std::chrono::milliseconds(opts_.breaker_cooldown_ms))) {
-        ++stats_.breaker_trips;
-        breaker_tripped = true;
-      }
+  if (status == JobStatus::kDone) {
+    app_stats_.record_success(job.spec.name, job.run_seconds);
+  } else if (status == JobStatus::kFailed) {
+    if (app_stats_.record_failure(
+            job.spec.name, opts_.breaker_k, now(),
+            std::chrono::milliseconds(opts_.breaker_cooldown_ms))) {
+      ++stats_.breaker_trips;
+      breaker_tripped = true;
     }
+  } else {
+    app_stats_.release_trial(job.spec.name, job.id);
   }
   // Observability: terminal instant, breaker transition, and the
   // post-mortem triggers (job abort — which covers watchdog-fired
@@ -851,36 +800,6 @@ void Scheduler::finish_locked(Job& job, JobStatus status, std::string error) {
     }
   }
 
-  // Hedge linkage: first finisher wins, loser is cancelled through the
-  // external-cancel path.
-  if (job.hedge) {
-    auto it = jobs_.find(job.hedge_of);
-    if (it != jobs_.end() && it->second->hedge_id == job.id) {
-      Job& primary = *it->second;
-      if (status == JobStatus::kDone && !terminal(primary.status)) {
-        // The twin won the race: stamp its run accounting onto the primary
-        // and cancel the straggling attempt. run_job flips the primary's
-        // resulting kCancelled to kDone (the job, as a whole, succeeded).
-        primary.hedge_winner = "hedge";
-        primary.warm = job.warm;
-        primary.plan = job.plan;
-        primary.run_summary = job.run_summary;
-        ++stats_.hedge_wins;
-        primary.cancel.cancel(common::CancelCause::kExternal, {}, {},
-                              "hedge twin finished first");
-      }
-    }
-  } else if (job.hedge_id != 0) {
-    auto it = jobs_.find(job.hedge_id);
-    if (it != jobs_.end() && !terminal(it->second->status)) {
-      if (status == JobStatus::kDone && job.hedge_winner.empty()) {
-        job.hedge_winner = "primary";
-      }
-      it->second->cancel.cancel(common::CancelCause::kExternal, {}, {},
-                                "primary finished first");
-    }
-  }
-
   // Fulfill the typed-submit future for non-done terminal outcomes
   // (exactly once; the callback clears itself).
   if (job.on_terminal) {
@@ -888,6 +807,10 @@ void Scheduler::finish_locked(Job& job, JobStatus status, std::string error) {
     job.on_terminal = nullptr;
     cb(job.status, job.error, job.error_ep);
   }
+  // Nothing runs the body again: release what it captured (a typed
+  // submit's promise holds the whole result). The caller destroys it after
+  // unlocking; run_job has already destroyed the body of a job that ran.
+  if (job.body) released_bodies_.push_back(std::exchange(job.body, nullptr));
 
   ++completion_gen_;
   cv_.notify_all();
@@ -908,9 +831,13 @@ JobReport Scheduler::report_locked(const Job& job) const {
   report.error = job.error;
   report.attempts = job.attempt;
   report.degraded_steps = job.degraded_steps;
-  report.hedge_of = job.hedge_of;
-  report.hedge_winner = job.hedge_winner;
   return report;
+}
+
+std::vector<Scheduler::Body> Scheduler::take_bodies_locked() {
+  std::vector<Body> bodies;
+  bodies.swap(released_bodies_);
+  return bodies;
 }
 
 std::vector<std::thread> Scheduler::grab_zombies_locked() {

@@ -35,21 +35,20 @@
 //     is recorded in JobReport::degraded_steps and the run's plan
 //     provenance becomes "degraded". An mr::CombinesInMap app already runs
 //     fused on a single pool, so its ladder is only the core step;
-//   * hedged execution — when a running job exceeds hedge_factor × its
-//     app's EWMA runtime (AppStats), and the queue is empty with spare
-//     cores free, a duplicate launches beyond the concurrency cap; the
-//     first finisher wins and the loser is cancelled through the external-
-//     cancel path. Hedging re-runs the job body concurrently, so it is
-//     only safe for idempotent bodies (the typed submit qualifies);
 //   * circuit breaker — after breaker_k consecutive final failures of one
 //     app, its submissions fast-fail (kRejected) until the breaker
-//     half-opens on a timer (AppStats);
+//     half-opens on a timer and admits one trial (AppStats);
 //   * overload shedding — when the queued admission cost exceeds
 //     shed_watermark, the lowest-priority queued jobs are shed (kShed)
 //     until the cost falls to watermark/2;
 //   * job-boundary fault site — Options::fault_spec arms a faults::Injector
 //     whose on_job_run fires before job bodies (job_run/job_p/job_fires
 //     keys of RAMR_FAULTS), exercising the retry path end to end.
+//
+// A straggler is bounded by its deadline (JobSpec::deadline_ms): the
+// watchdog aborts the run, and the ladder retries it under a safer plan.
+// A job's body is released once the job is terminal, so nothing it
+// captured (a typed submit's promise and result) outlives the job.
 //
 // Nothing here runs unless a Scheduler is constructed; the one-shot
 // Runtime path is byte-identical with the subsystem unused.
@@ -103,8 +102,6 @@ struct ServiceStats {
   std::uint64_t shed = 0;
   std::uint64_t retries = 0;        // re-queued attempts
   std::uint64_t degraded = 0;       // ladder steps applied
-  std::uint64_t hedges = 0;         // hedge twins launched
-  std::uint64_t hedge_wins = 0;     // races the hedge won
   std::uint64_t breaker_trips = 0;  // closed/half-open -> open transitions
   std::uint64_t breaker_rejects = 0;
   std::uint64_t job_faults = 0;  // injected job-boundary faults
@@ -248,9 +245,7 @@ class JobContext {
 class Scheduler {
  public:
   struct Options {
-    // Concurrent-job cap; 0 = one job per socket (min 1). Hedge twins run
-    // beyond the cap (they only launch when the queue is empty and spare
-    // cores exist).
+    // Concurrent-job cap; 0 = one job per socket (min 1).
     std::size_t max_concurrent_jobs = 0;
 
     // Jobs allowed to *wait*; a submit finding the queue at this depth is
@@ -267,13 +262,8 @@ class Scheduler {
     std::size_t retry_backoff_us = 1'000;
     std::size_t retry_backoff_cap_us = 200'000;
 
-    // Hedge when a job runs longer than factor × its app's EWMA runtime
-    // (0 = off). The EWMA needs hedge_min_samples successes first.
-    double hedge_factor = 0.0;
-    std::size_t hedge_min_samples = 3;
-
     // Circuit breaker: open after k consecutive final failures of one app
-    // (0 = off); half-open after cooldown_ms.
+    // (0 = off); half-open after cooldown_ms, admitting one trial job.
     std::size_t breaker_k = 0;
     std::size_t breaker_cooldown_ms = 1'000;
 
@@ -311,9 +301,9 @@ class Scheduler {
     PinnedKnobs pinned;
 
     // Reads RAMR_SERVICE_JOBS / RAMR_SERVICE_QUEUE plus the resilience
-    // knobs RAMR_SERVICE_RETRIES / RAMR_HEDGE_FACTOR / RAMR_BREAKER_K /
-    // RAMR_SHED_WATERMARK, RAMR_FAULTS, and the observability knobs
-    // RAMR_OBS / RAMR_METRICS_PATH / RAMR_FLIGHT_EVENTS.
+    // knobs RAMR_SERVICE_RETRIES / RAMR_BREAKER_K / RAMR_SHED_WATERMARK,
+    // RAMR_FAULTS, and the observability knobs RAMR_OBS / RAMR_METRICS_PATH
+    // / RAMR_FLIGHT_EVENTS.
     static Options from_env() {
       const RuntimeConfig cfg = RuntimeConfig::from_env();
       Options o;
@@ -321,7 +311,6 @@ class Scheduler {
       o.max_concurrent_jobs = cfg.service_max_jobs;
       o.queue_depth = cfg.service_queue_depth;
       o.max_retries = cfg.service_max_retries;
-      o.hedge_factor = cfg.service_hedge_factor;
       o.breaker_k = cfg.service_breaker_k;
       o.shed_watermark = cfg.service_shed_watermark;
       o.fault_spec = cfg.fault_spec;
@@ -338,7 +327,6 @@ class Scheduler {
       cfg.service_max_jobs = max_concurrent_jobs;
       cfg.service_queue_depth = queue_depth;
       cfg.service_max_retries = max_retries;
-      cfg.service_hedge_factor = hedge_factor;
       cfg.service_breaker_k = breaker_k;
       cfg.service_shed_watermark = shed_watermark;
       cfg.fault_spec = fault_spec;
@@ -366,8 +354,8 @@ class Scheduler {
   // Typed convenience: one MapReduce invocation as a job. The app and
   // input must outlive the job. The future is always fulfilled once the
   // job is terminal: with the run's result on kDone (possibly produced by
-  // a retry or a winning hedge), or with an exception describing the
-  // terminal status otherwise.
+  // a retry), or with an exception describing the terminal status
+  // otherwise.
   template <mr::AppSpec S>
   std::pair<JobId, std::shared_future<mr::result_of<S>>> submit(
       JobSpec spec, const S& app, const typename S::input_type& input) {
@@ -379,8 +367,9 @@ class Scheduler {
         std::move(spec),
         [&app, &input, promise, fulfilled](JobContext& ctx) {
           auto result = ctx.run(app, input);
-          // First finisher wins (the primary and a hedge twin share this
-          // body); a retried attempt only fulfills on its success.
+          // A failed attempt threw before this point, so only a successful
+          // one fulfills; the flag keeps on_terminal from fulfilling again
+          // when a cancel lands after the run returned.
           if (!fulfilled->exchange(true)) {
             promise->set_value(std::move(result));
           }
@@ -413,7 +402,7 @@ class Scheduler {
   JobReport report(JobId id);
 
   // Waits for every submitted job to reach a terminal status and returns
-  // all reports in submission order (hedge twins included).
+  // all reports in submission order.
   std::vector<JobReport> drain();
 
   // Cancels queued and running jobs, waits for runners, stops the
@@ -459,13 +448,14 @@ class Scheduler {
   CoreLeaseRegistry& cores() { return cores_; }
 
  private:
+  using Body = std::function<void(JobContext&)>;
   // Invoked exactly once under mutex_ when the job turns terminal.
   using TerminalCallback =
       std::function<void(JobStatus, const std::string&, std::exception_ptr)>;
 
   struct Job {
     JobSpec spec;
-    std::function<void(JobContext&)> body;
+    Body body;  // released (empty) once the job is terminal
     JobId id = 0;
     JobStatus status = JobStatus::kQueued;
     common::CancellationToken cancel;
@@ -490,16 +480,10 @@ class Scheduler {
     bool degrade_fused = false;
     bool combines_in_map = false;  // the body ran an mr::CombinesInMap app
     std::vector<std::string> degraded_steps;
-    bool hedge = false;   // this job is a hedge twin
-    JobId hedge_of = 0;   // twin -> primary
-    JobId hedge_id = 0;   // primary -> twin (0 = none)
-    bool hedged = false;  // primary already hedged once
-    std::string hedge_winner;
     TerminalCallback on_terminal;
   };
 
-  JobId submit_internal(JobSpec spec, std::function<void(JobContext&)> body,
-                        TerminalCallback on_terminal);
+  JobId submit_internal(JobSpec spec, Body body, TerminalCallback on_terminal);
   void dispatch_loop();
   void run_job(const std::shared_ptr<Job>& job);
 
@@ -520,7 +504,7 @@ class Scheduler {
   void requeue_locked(const std::shared_ptr<Job>& job);
   void apply_degrade_locked(Job& job);
   void shed_locked();
-  void maybe_hedge_locked();
+  std::vector<Body> take_bodies_locked();
   std::shared_ptr<Job> first_eligible_locked(Clock::time_point t) const;
   bool backoff_pending_locked(Clock::time_point t) const;
   JobReport report_locked(const Job& job) const;
@@ -542,10 +526,13 @@ class Scheduler {
   JobId next_id_ = 1;
   std::deque<std::shared_ptr<Job>> queue_;  // id-ordered (arrival order)
   std::map<JobId, std::shared_ptr<Job>> jobs_;
-  std::size_t running_ = 0;          // all runner threads (hedges included)
-  std::size_t running_primary_ = 0;  // counts against max_jobs_
+  std::size_t running_ = 0;  // runner threads; counts against max_jobs_
   std::uint64_t completion_gen_ = 0;
   std::vector<std::thread> zombies_;  // finished runners awaiting join
+  // Bodies of terminal jobs, moved out by finish_locked. Callers swap them
+  // into a local declared before their lock, so a body's captures are
+  // destroyed after mutex_ is released.
+  std::vector<Body> released_bodies_;
   ServiceStats stats_;
   AppStats app_stats_;
 

@@ -2,8 +2,8 @@
 // turns into a post-mortem JSON document when something goes wrong.
 //
 // The scheduler appends one Event per lifecycle transition (submit, admit,
-// lease, retry, degrade, hedge, shed, terminal — the same stream the
-// service trace sees). The ring holds the last `capacity` events
+// lease, retry, degrade, shed, terminal — the same stream the service
+// trace sees). The ring holds the last `capacity` events
 // (RAMR_FLIGHT_EVENTS, default 256) and overwrites silently; `dropped`
 // counts what aged out so a dump is honest about its horizon.
 //

@@ -1,15 +1,15 @@
 // ServiceTrace — the process-wide stitched execution trace (RAMR_OBS=full).
 //
 // One service process runs many jobs, each of which may run several times
-// (retries, hedges) with its own per-run trace::Recorder. This class
-// stitches all of it into a single Chrome/Perfetto trace document:
+// (retries) with its own per-run trace::Recorder. This class stitches all
+// of it into a single Chrome/Perfetto trace document:
 //
 //   pid 0          "scheduler": counter tracks (cores leased, queue depth)
 //                  sampled by the scheduler's observability thread;
 //   pid <job id>   one process per job, named "job <id>: <name>":
 //                    tid 0   the lifecycle lane — "queued"/"run" spans plus
-//                            instants for admit/retry/degrade/hedge/shed/
-//                            terminal transitions;
+//                            instants for admit/retry/degrade/shed/terminal
+//                            transitions;
 //                    tid 1+  the per-run engine lanes (mapper/combiner/
 //                            driver) copied out of each attempt's Recorder
 //                            and shifted onto the shared timeline.
@@ -54,7 +54,7 @@ class ServiceTrace {
   void begin(std::uint64_t job, const std::string& span);
   void end(std::uint64_t job, const std::string& span);
 
-  // Lifecycle instants (retry/degrade/hedge/shed/terminal/...); detail
+  // Lifecycle instants (retry/degrade/shed/terminal/...); detail
   // lands in the event args.
   void instant(std::uint64_t job, const std::string& name,
                const std::string& detail = {});

@@ -72,30 +72,6 @@ TEST(Suitability, Fig10aVerdictsMatchPaper) {
   }
 }
 
-TEST(Suitability, SplitCountersComplementarityStrengthensScore) {
-  const SuitabilityModel model;
-  perf::Counters map_side;
-  map_side.instructions = 1000;
-  map_side.mem_stall_cycles = 10;
-  map_side.resource_stall_cycles = 5;
-  map_side.input_bytes = 50;
-  perf::Counters combine_side;
-  combine_side.instructions = 500;
-  combine_side.mem_stall_cycles = 150;
-  combine_side.resource_stall_cycles = 100;
-  combine_side.input_bytes = 50;
-
-  const Verdict split = judge_split_counters(model, map_side, combine_side);
-  EXPECT_TRUE(split.pipelined);
-  EXPECT_NE(split.reason.find("complementary"), std::string::npos);
-
-  // Same totals with the stalls on the map side: verdict holds (the Fig. 10
-  // rule sees identical totals) but the complementarity bump is gone.
-  const Verdict swapped = judge_split_counters(model, combine_side, map_side);
-  EXPECT_TRUE(swapped.pipelined);
-  EXPECT_GT(split.score, swapped.score);
-}
-
 TEST(Suitability, EmpiricalRuleNeedsBothIntensityAndCombineShare) {
   const SuitabilityModel model;
   EmpiricalSample heavy;

@@ -62,16 +62,6 @@ TEST(Env, RejectsGarbageUnsigned) {
   EXPECT_THROW(env::get_uint("RAMR_TEST_UINT", 0), ConfigError);
 }
 
-TEST(Env, ParsesDouble) {
-  EXPECT_DOUBLE_EQ(env::parse_double("RAMR_TEST_DBL", "2.75"), 2.75);
-}
-
-TEST(Env, RejectsNonFiniteDouble) {
-  for (const char* bad : {"nan", "NaN", "inf", "-inf", "1e999"}) {
-    EXPECT_THROW(env::parse_double("RAMR_TEST_DBL", bad), ConfigError) << bad;
-  }
-}
-
 TEST(Env, ParsesBooleans) {
   for (const char* yes : {"1", "true", "TRUE", "yes", "on"}) {
     env::ScopedOverride o("RAMR_TEST_BOOL", yes);
@@ -248,17 +238,12 @@ std::map<std::string, std::string> summary_fields(const std::string& line) {
   return out;
 }
 
-std::string uint_text(double v) {
-  return std::to_string(static_cast<std::uint64_t>(v));
-}
-
 // Accepted spellings per row; each must round-trip.
 std::vector<std::string> valid_values(const KnobInfo& k) {
   switch (k.kind) {
     case KnobKind::kUint:
-      return {uint_text(k.lo), uint_text(k.hi), uint_text((k.lo + k.hi) / 2)};
-    case KnobKind::kReal:
-      return {"0", "1.5", std::to_string(k.lo), std::to_string(k.hi)};
+      return {std::to_string(k.lo), std::to_string(k.hi),
+              std::to_string((k.lo + k.hi) / 2)};
     case KnobKind::kFlag:
       return {"on", "off", "1", "0", "TRUE", "no"};
     case KnobKind::kText:
@@ -276,13 +261,10 @@ std::vector<std::string> invalid_values(const KnobInfo& k) {
     case KnobKind::kUint: {
       std::vector<std::string> bad = {"garbage", "12abc", "-1", " -1",
                                       "18446744073709551616",
-                                      uint_text(k.hi + 1)};
-      if (k.lo > 0) bad.push_back(uint_text(k.lo - 1));
+                                      std::to_string(k.hi + 1)};
+      if (k.lo > 0) bad.push_back(std::to_string(k.lo - 1));
       return bad;
     }
-    case KnobKind::kReal:
-      return {"garbage", "nan", "inf", "-1", std::to_string(k.lo / 2),
-              std::to_string(k.hi * 2)};
     case KnobKind::kFlag:
       return {"maybe", "2"};
     case KnobKind::kText:
@@ -362,7 +344,6 @@ TEST(KnobTable, ReproducersThrowNamingTheVariable) {
   } cases[] = {
       {"RAMR_QUEUE_CAPACITY", "9223372036854775809"},  // 2^63 + 1 overflow
       {"RAMR_MAPPERS", " -1"},
-      {"RAMR_HEDGE_FACTOR", "nan"},
       {"RAMR_PMU", "bogus"},  // validated even with observability off
       {"RAMR_OBS", "1"},      // the old boolean spelling: ambiguous now
       {"RAMR_OBS", "on"},
@@ -392,6 +373,7 @@ TEST(KnobTable, RetiredKnobsNameTheirReplacement) {
       {"RAMR_HUGEPAGES", "off", "transparent-huge-page"},
       {"RAMR_PRECOMBINE", "256", "RAMR_ADAPT=probe"},
       {"RAMR_PRECOMBINE", "0", "RAMR_ADAPT=probe"},
+      {"RAMR_HEDGE_FACTOR", "2", "RAMR_SERVICE_RETRIES"},
   };
   for (const auto& c : cases) {
     {

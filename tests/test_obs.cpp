@@ -296,7 +296,6 @@ TEST(ServiceObs, CountersMatchServiceStatsExactly) {
       {"failed", stats.failed},         {"cancelled", stats.cancelled},
       {"rejected", stats.rejected},     {"shed", stats.shed},
       {"retries", stats.retries},       {"degraded", stats.degraded},
-      {"hedges", stats.hedges},         {"hedge_wins", stats.hedge_wins},
       {"breaker_trips", stats.breaker_trips},
       {"breaker_rejects", stats.breaker_rejects},
       {"job_faults", stats.job_faults}};

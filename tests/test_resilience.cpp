@@ -1,11 +1,11 @@
 // Resilience layer of service mode (docs/ARCHITECTURE.md §13): job-level
-// retry with backoff, the graceful-degradation ladder, hedged execution,
-// the per-app circuit breaker, overload shedding, the job-boundary fault
-// site, and the chaos harness — a concurrent job stream under injected
-// map-task faults, emit stalls, and job-boundary faults that must end with
-// every job terminal, retried outputs identical to the fault-free
-// reference, and zero leaked cores or pool leases. Time bounds are
-// generous: this suite runs under ThreadSanitizer in CI.
+// retry with backoff, the graceful-degradation ladder, the per-app circuit
+// breaker (one half-open trial at a time), overload shedding, the
+// job-boundary fault site, and the chaos harness — a concurrent job stream
+// under injected map-task faults, emit stalls, and job-boundary faults that
+// must end with every job terminal, retried outputs identical to the
+// fault-free reference, and zero leaked cores or pool leases. Time bounds
+// are generous: this suite runs under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -254,6 +254,54 @@ TEST(Breaker, HalfOpenTrialClosesOnSuccessReopensOnFailure) {
   EXPECT_GE(sched.stats().breaker_trips, 3u);
 }
 
+// A half-open breaker admits one trial: further submissions of the app are
+// rejected while it runs, and a trial that ends without a verdict frees
+// the slot for the next submission.
+TEST(Breaker, HalfOpenAdmitsOneTrialAtATime) {
+  Scheduler::Options opts;
+  opts.max_concurrent_jobs = 1;
+  opts.breaker_k = 2;
+  opts.breaker_cooldown_ms = 50;
+  Scheduler sched(small_server(), opts);
+
+  JobSpec spec;
+  spec.name = "flaky";
+  auto failing = [](JobContext&) { throw Error("app bug"); };
+  auto ok = [](JobContext&) {};
+  const auto trip = [&] {
+    sched.wait(sched.submit(spec, failing));
+    sched.wait(sched.submit(spec, failing));
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  };
+
+  trip();
+  std::latch release(1);
+  const JobId trial = sched.submit(spec, [&](JobContext&) { release.wait(); });
+  const JobReport second = sched.report(sched.submit(spec, ok));
+  EXPECT_EQ(second.status, JobStatus::kRejected);
+  EXPECT_NE(second.error.find("circuit breaker"), std::string::npos)
+      << second.error;
+  release.count_down();
+  EXPECT_EQ(sched.wait(trial).status, JobStatus::kDone);
+  EXPECT_EQ(sched.wait(sched.submit(spec, ok)).status, JobStatus::kDone);
+
+  // A trial cancelled while queued (a holder of another app keeps the one
+  // slot busy) frees the slot.
+  trip();
+  std::latch hold(1);
+  JobSpec holder;
+  holder.name = "holder";
+  const JobId h = sched.submit(holder, [&](JobContext&) { hold.wait(); });
+  const JobId queued = sched.submit(spec, ok);
+  EXPECT_EQ(sched.report(queued).status, JobStatus::kQueued);
+  EXPECT_TRUE(sched.cancel(queued));
+  const JobId next = sched.submit(spec, ok);
+  EXPECT_EQ(sched.report(next).status, JobStatus::kQueued);
+  hold.count_down();
+  EXPECT_EQ(sched.wait(h).status, JobStatus::kDone);
+  EXPECT_EQ(sched.wait(next).status, JobStatus::kDone);
+}
+
 // ---------- overload shedding ------------------------------------------------
 
 TEST(Shed, LowestPriorityNewestFirstAboveWatermark) {
@@ -301,62 +349,6 @@ TEST(Shed, LowestPriorityNewestFirstAboveWatermark) {
   EXPECT_EQ(sched.stats().shed, 3u);
 }
 
-// ---------- hedged execution -------------------------------------------------
-
-TEST(Hedge, StragglerHedgedAndFirstFinisherWins) {
-  Scheduler::Options opts;
-  opts.max_concurrent_jobs = 2;
-  opts.hedge_factor = 2.0;
-  opts.hedge_min_samples = 1;
-  Scheduler sched(small_server(), opts);
-
-  const ModCountApp app;
-  const auto input = make_numbers(5000, 44);
-
-  // One clean run seeds the app's EWMA so the straggler has a baseline.
-  JobSpec spec;
-  spec.name = "hedge-app";
-  spec.cores = 3;
-  spec.config = job_config(1, 1);
-  {
-    auto [id, future] = sched.submit(spec, app, input);
-    ASSERT_EQ(sched.wait(id).status, JobStatus::kDone);
-  }
-
-  // The primary invocation stalls until cancelled; the hedge twin (second
-  // invocation of the same body) returns promptly and wins the race.
-  std::atomic<int> calls{0};
-  const JobId primary = sched.submit(spec, [&](JobContext& ctx) {
-    if (calls.fetch_add(1) == 0) {
-      const auto give_up =
-          std::chrono::steady_clock::now() + std::chrono::seconds(60);
-      while (!ctx.cancel_token().cancelled() &&
-             std::chrono::steady_clock::now() < give_up) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  });
-
-  const JobReport rp = sched.wait(primary);
-  EXPECT_EQ(rp.status, JobStatus::kDone) << rp.describe();
-  EXPECT_EQ(rp.hedge_winner, "hedge");
-
-  const ServiceStats stats = sched.stats();
-  EXPECT_EQ(stats.hedges, 1u);
-  EXPECT_EQ(stats.hedge_wins, 1u);
-
-  // The twin's own report is terminal and linked back to its primary.
-  bool found_twin = false;
-  for (const JobReport& r : sched.drain()) {
-    if (r.hedge_of == primary) {
-      found_twin = true;
-      EXPECT_EQ(r.status, JobStatus::kDone) << r.describe();
-    }
-  }
-  EXPECT_TRUE(found_twin);
-  EXPECT_EQ(sched.cores().available(), sched.cores().total());
-}
-
 // ---------- client-owned cancellation token (satellite regression) ----------
 
 TEST(ClientToken, PreTrippedTokenCancelsWithoutConsumingLease) {
@@ -391,14 +383,12 @@ TEST(ClientToken, PreTrippedTokenCancelsWithoutConsumingLease) {
 
 TEST(Knobs, OptionsFromEnvPicksUpResilienceKnobs) {
   env::ScopedOverride retries("RAMR_SERVICE_RETRIES", "2");
-  env::ScopedOverride hedge("RAMR_HEDGE_FACTOR", "2.5");
   env::ScopedOverride breaker("RAMR_BREAKER_K", "4");
   env::ScopedOverride shed("RAMR_SHED_WATERMARK", "10");
   env::ScopedOverride faults("RAMR_FAULTS", "job_p=0.1,job_fires=3,seed=5");
 
   const Scheduler::Options o = Scheduler::Options::from_env();
   EXPECT_EQ(o.max_retries, 2u);
-  EXPECT_DOUBLE_EQ(o.hedge_factor, 2.5);
   EXPECT_EQ(o.breaker_k, 4u);
   EXPECT_EQ(o.shed_watermark, 10u);
   EXPECT_EQ(o.fault_spec, "job_p=0.1,job_fires=3,seed=5");
@@ -414,7 +404,6 @@ TEST(Knobs, OptionsFromEnvPicksUpResilienceKnobs) {
   };
   EXPECT_EQ(setting(o, "RAMR_SERVICE_RETRIES").value, "2");
   EXPECT_EQ(setting(o, "RAMR_SERVICE_RETRIES").source, "env");
-  EXPECT_EQ(setting(o, "RAMR_HEDGE_FACTOR").value, "2.5");
   Scheduler::Options coded;
   coded.queue_depth = 4;
   EXPECT_EQ(setting(coded, "RAMR_SERVICE_QUEUE").value, "4");

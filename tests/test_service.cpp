@@ -8,6 +8,7 @@
 #include <chrono>
 #include <latch>
 #include <map>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -337,6 +338,36 @@ TEST(Scheduler, ShutdownCancelsQueuedJobs) {
   spec.name = "late";
   EXPECT_EQ(sched.wait(sched.submit(spec, [](JobContext&) {})).status,
             JobStatus::kRejected);
+}
+
+// A terminal job's body is released: nothing it captured outlives the job
+// (a typed submit's promise holds the whole result), while a typed
+// submit's future still delivers that result.
+TEST(Scheduler, TerminalJobReleasesItsBody) {
+  Scheduler::Options opts;
+  opts.max_concurrent_jobs = 1;
+  Scheduler sched(small_server(), opts);
+
+  const auto sentinel = std::make_shared<int>(0);
+  JobSpec spec;
+  spec.name = "sentinel";
+  spec.config = job_config(1, 1);
+  const JobId ran = sched.submit(spec, [sentinel](JobContext&) {});
+  EXPECT_EQ(sched.wait(ran).status, JobStatus::kDone);
+  EXPECT_EQ(sentinel.use_count(), 1);
+
+  // A body that never runs goes too.
+  spec.cores = 99;
+  const JobId rejected = sched.submit(spec, [sentinel](JobContext&) {});
+  EXPECT_EQ(sched.wait(rejected).status, JobStatus::kRejected);
+  EXPECT_EQ(sentinel.use_count(), 1);
+
+  spec.cores = 0;
+  const ModCountApp app;
+  const auto input = make_numbers(5000, 8);
+  auto [id, future] = sched.submit(spec, app, input);
+  EXPECT_EQ(sched.wait(id).status, JobStatus::kDone);
+  EXPECT_TRUE(pairs_match(future.get().pairs, app.reference(input)));
 }
 
 TEST(Scheduler, NoLeaseLeaksAfterShutdown) {
